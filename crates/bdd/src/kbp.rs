@@ -26,6 +26,7 @@ use std::sync::{Arc, Mutex};
 
 use kpt_logic::Formula;
 use kpt_state::{VarId, VarSet};
+use kpt_transformers::{iterate_to_fixpoint, IterativeOutcome};
 use kpt_unity::{Guard, Program};
 
 use crate::error::BddError;
@@ -96,41 +97,9 @@ impl std::fmt::Debug for SymbolicKbp {
     }
 }
 
-/// Outcome of [`SymbolicKbp::solve_iterative`] — the symbolic counterpart
-/// of `kpt_core::IterativeOutcome`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SymbolicOutcome {
-    /// The iteration reached a fixpoint: a verified eq. (25) solution.
-    Converged {
-        /// The solution.
-        solution: SymbolicPredicate,
-        /// Iterations used.
-        iterations: usize,
-    },
-    /// The iteration entered a cycle — Figure-1-style ill-posedness
-    /// evidence.
-    Cycle {
-        /// Length of the cycle.
-        period: usize,
-        /// Iterations before entering the cycle.
-        entered_after: usize,
-    },
-    /// The iteration budget ran out.
-    Inconclusive {
-        /// Iterations used.
-        iterations: usize,
-    },
-}
-
-impl SymbolicOutcome {
-    /// The solution, if the iteration converged.
-    pub fn solution(&self) -> Option<&SymbolicPredicate> {
-        match self {
-            SymbolicOutcome::Converged { solution, .. } => Some(solution),
-            _ => None,
-        }
-    }
-}
+/// Outcome of [`SymbolicKbp::solve_iterative`]: the eq. (25) outcome of
+/// `kpt_core::Kbp::solve_iterative`, with a symbolic solution.
+pub type SymbolicOutcome = IterativeOutcome<SymbolicPredicate>;
 
 impl SymbolicKbp {
     /// Translate a program (knowledge-based or standard) for symbolic
@@ -343,61 +312,24 @@ impl SymbolicKbp {
     }
 
     /// The iteration `x_{k+1} = Φ(x_k)` from `x_0 = init`, with cycle
-    /// detection — `kpt_core::Kbp::solve_iterative` over BDD roots, where
-    /// candidate comparison and cycle lookup are root-id operations.
+    /// detection — `kpt_core::Kbp::solve_iterative` over BDD roots, run
+    /// by the same [`iterate_to_fixpoint`] loop under the
+    /// `bdd.solver.iterative` span and `bdd.solver.progress` events.
+    /// Candidates are held as rooted handles, so GC sweeps inside later
+    /// iterations never free (or recycle the ids of) earlier ones, and
+    /// comparing or hashing one is a root-id operation.
     ///
     /// # Errors
     /// As for [`SymbolicKbp::iterate`].
     pub fn solve_iterative(&self, max_iterations: usize) -> Result<SymbolicOutcome, BddError> {
-        let mut span = kpt_obs::span("bdd.solver.iterative");
         kpt_obs::counter!("bdd.solver.iterative.runs").incr();
-        // Candidates are held as RAII handles so GC sweeps inside later
-        // iterations can never free (or recycle the ids of) earlier ones —
-        // cycle detection is still O(1) root comparison.
-        let mut x = self.init();
-        let mut seen: Vec<SymbolicPredicate> = vec![x.clone()];
-        for k in 0..max_iterations {
-            let next_root = self.iterate_root(x.root())?;
-            let next = SymbolicPredicate::new(&self.space, next_root);
-            if span.is_live() {
-                // One progress event per eq. (25) iteration: the candidate
-                // sizes stream out while the solve is still running.
-                kpt_obs::event(
-                    "bdd.solver.progress",
-                    &[
-                        ("iteration", (k + 1).into()),
-                        ("candidate_states", next.count().into()),
-                        ("converged", (next == x).into()),
-                    ],
-                );
-            }
-            if next == x {
-                span.field("outcome", "converged");
-                span.field("iterations", (k + 1) as u64);
-                span.finish();
-                return Ok(SymbolicOutcome::Converged {
-                    solution: x,
-                    iterations: k + 1,
-                });
-            }
-            if let Some(pos) = seen.iter().position(|p| *p == next) {
-                span.field("outcome", "cycle");
-                span.field("period", (seen.len() - pos) as u64);
-                span.finish();
-                return Ok(SymbolicOutcome::Cycle {
-                    period: seen.len() - pos,
-                    entered_after: pos,
-                });
-            }
-            seen.push(next.clone());
-            x = next;
-        }
-        span.field("outcome", "inconclusive");
-        span.field("iterations", max_iterations as u64);
-        span.finish();
-        Ok(SymbolicOutcome::Inconclusive {
-            iterations: max_iterations,
-        })
+        iterate_to_fixpoint(
+            self.init(),
+            max_iterations,
+            "bdd.solver.iterative",
+            "bdd.solver.progress",
+            |x| self.iterate(x),
+        )
     }
 
     /// The translated relation of one named statement as a standalone
@@ -785,7 +717,7 @@ fn or_tree(mgr: &mut Manager, mut layer: Vec<NodeId>) -> NodeId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kpt_core::{IterativeOutcome, Kbp};
+    use kpt_core::Kbp;
     use kpt_state::StateSpace;
     use kpt_unity::{Program, Statement};
 
@@ -847,22 +779,8 @@ mod tests {
         let symbolic = SymbolicKbp::from_program(&program).unwrap();
         let e = explicit.solve_iterative(16).unwrap();
         let s = symbolic.solve_iterative(16).unwrap();
-        match (e, s) {
-            (
-                IterativeOutcome::Converged {
-                    solution: es,
-                    iterations: ei,
-                },
-                SymbolicOutcome::Converged {
-                    solution: ss,
-                    iterations: si,
-                },
-            ) => {
-                assert_eq!(ei, si);
-                assert_eq!(ss.to_explicit(), es);
-            }
-            (e, s) => panic!("outcomes diverge: explicit {e:?}, symbolic {s:?}"),
-        }
+        assert!(e.solution().is_some(), "expected convergence, got {e:?}");
+        assert_eq!(s.map(|p| p.to_explicit()), e);
     }
 
     #[test]

@@ -53,8 +53,8 @@ pub use fixpoint::{
 pub use formula::SymbolicEvalContext;
 pub use kbp::{SymbolicKbp, SymbolicOutcome};
 pub use knowledge::SymbolicKnowledge;
+pub use kpt_state::PredicateOps;
 pub use manager::{BddConfig, GcPolicy, GcStats, ReorderPolicy, ReorderStats};
 pub use predicate::SymbolicPredicate;
 pub use space::BddSpace;
-pub use traits::PredicateOps;
 pub use transition::{SymbolicTransition, SymbolicTransitionBuilder};

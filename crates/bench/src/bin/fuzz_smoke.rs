@@ -14,7 +14,7 @@
 
 use std::panic::{self, AssertUnwindSafe};
 
-use kpt_bdd::{BddConfig, GcPolicy, ReorderPolicy, SymbolicKbp, SymbolicOutcome};
+use kpt_bdd::{BddConfig, GcPolicy, ReorderPolicy, SymbolicKbp};
 use kpt_core::{IterativeOutcome, Kbp};
 use kpt_lint::{erased_program, lint_program_with, DiagnosticCode, LintOptions};
 use kpt_testkit::genprog::{gen_program, GenConfig};
@@ -50,78 +50,45 @@ const CORPUS: &[(&str, &str)] = &[
     ),
 ];
 
-/// An engine-agnostic view of an eq. (25) iteration outcome.
-#[derive(Debug, PartialEq)]
-enum Outcome {
-    Converged(Vec<u64>, usize),
-    Cycle { period: usize, entered_after: usize },
-    Inconclusive,
-}
-
 struct Finding {
     case: String,
     detail: String,
 }
 
-fn explicit_outcome(kbp: &Kbp) -> Result<Outcome, String> {
-    match kbp
+/// The explicit engine's outcome, with a converged solution re-checked
+/// against eq. (25).
+fn explicit_outcome(kbp: &Kbp) -> Result<IterativeOutcome, String> {
+    let outcome = kbp
         .solve_iterative(MAX_ITERS)
-        .map_err(|e| format!("explicit solver: {e}"))?
-    {
-        IterativeOutcome::Converged {
-            solution,
-            iterations,
-        } => {
-            if !kbp
-                .is_solution(&solution)
-                .map_err(|e| format!("explicit is_solution: {e}"))?
-            {
-                return Err("explicit fixpoint fails its own is_solution check".to_owned());
-            }
-            Ok(Outcome::Converged(solution.iter().collect(), iterations))
+        .map_err(|e| format!("explicit solver: {e}"))?;
+    if let Some(solution) = outcome.solution() {
+        if !kbp
+            .is_solution(solution)
+            .map_err(|e| format!("explicit is_solution: {e}"))?
+        {
+            return Err("explicit fixpoint fails its own is_solution check".to_owned());
         }
-        IterativeOutcome::Cycle {
-            period,
-            entered_after,
-        } => Ok(Outcome::Cycle {
-            period,
-            entered_after,
-        }),
-        IterativeOutcome::Inconclusive { .. } => Ok(Outcome::Inconclusive),
     }
+    Ok(outcome)
 }
 
-fn symbolic_outcome(program: &Program, config: BddConfig) -> Result<Outcome, String> {
+/// The symbolic engine's outcome under `config`, re-checked like
+/// [`explicit_outcome`] and converted to explicit bitsets for comparison.
+fn symbolic_outcome(program: &Program, config: BddConfig) -> Result<IterativeOutcome, String> {
     let symbolic = SymbolicKbp::from_program_with(program, config)
         .map_err(|e| format!("symbolic translation: {e}"))?;
-    match symbolic
+    let outcome = symbolic
         .solve_iterative(MAX_ITERS)
-        .map_err(|e| format!("symbolic solver: {e}"))?
-    {
-        SymbolicOutcome::Converged {
-            solution,
-            iterations,
-        } => {
-            if !symbolic
-                .is_solution(&solution)
-                .map_err(|e| format!("symbolic is_solution: {e}"))?
-            {
-                return Err("symbolic fixpoint fails its own is_solution check".to_owned());
-            }
-            Ok(Outcome::Converged(
-                solution.to_explicit().iter().collect(),
-                iterations,
-            ))
+        .map_err(|e| format!("symbolic solver: {e}"))?;
+    if let Some(solution) = outcome.solution() {
+        if !symbolic
+            .is_solution(solution)
+            .map_err(|e| format!("symbolic is_solution: {e}"))?
+        {
+            return Err("symbolic fixpoint fails its own is_solution check".to_owned());
         }
-        SymbolicOutcome::Cycle {
-            period,
-            entered_after,
-        } => Ok(Outcome::Cycle {
-            period,
-            entered_after,
-        }),
-        SymbolicOutcome::Inconclusive { .. } => Ok(Outcome::Inconclusive),
     }
+    Ok(outcome.map(|s| s.to_explicit()))
 }
 
 fn gc_sift_config() -> BddConfig {
@@ -183,23 +150,19 @@ fn oracle(src: &str) -> Result<(), String> {
         .map_err(|e| format!("erased compile: {e}"))?
         .si()
         .clone();
-    let symbolic_erased = match symbolic_outcome(&erased, BddConfig::serial())? {
-        Outcome::Converged(states, _) => Outcome::Converged(states, 1),
-        other => other,
-    };
-    let explicit_erased = Outcome::Converged(erased_si.iter().collect(), 1);
-    if explicit_erased != symbolic_erased {
+    // A plain program converges on both engines; only the solution is
+    // compared.
+    let symbolic_erased = symbolic_outcome(&erased, BddConfig::serial())?;
+    if symbolic_erased.solution() != Some(&erased_si) {
         return Err(format!(
-            "erased-program SI diverged: {explicit_erased:?} vs {symbolic_erased:?}"
+            "erased-program SI diverged: explicit {erased_si:?} vs symbolic {symbolic_erased:?}"
         ));
     }
-    if let Outcome::Converged(states, _) = &explicit {
-        for &st in states {
-            if !erased_si.holds(st) {
-                return Err(format!(
-                    "state {st} solves the KBP but escapes the erased SI (eq. 14 violated)"
-                ));
-            }
+    if let Some(solution) = explicit.solution() {
+        if let Some(st) = solution.iter().find(|&st| !erased_si.holds(st)) {
+            return Err(format!(
+                "state {st} solves the KBP but escapes the erased SI (eq. 14 violated)"
+            ));
         }
     }
     Ok(())
@@ -226,8 +189,6 @@ fn run_case(name: &str, src: &str, findings: &mut Vec<Finding>) {
         detail: format!("{detail}\nsource:\n{src}"),
     });
 }
-
-use kpt_bench::json_escape;
 
 fn main() {
     let cases: usize = std::env::var("KPT_FUZZ_CASES")
@@ -269,12 +230,15 @@ fn main() {
     json.push_str(&format!("  \"findings_count\": {},\n", findings.len()));
     json.push_str("  \"findings\": [\n");
     for (i, f) in findings.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"case\": \"{}\", \"detail\": \"{}\"}}{}\n",
-            json_escape(&f.case),
-            json_escape(&f.detail),
-            if i + 1 < findings.len() { "," } else { "" }
-        ));
+        json.push_str("    {\"case\": \"");
+        kpt_obs::json_escape_into(&f.case, &mut json);
+        json.push_str("\", \"detail\": \"");
+        kpt_obs::json_escape_into(&f.detail, &mut json);
+        json.push_str(if i + 1 < findings.len() {
+            "\"},\n"
+        } else {
+            "\"}\n"
+        });
     }
     json.push_str("  ]\n}\n");
     std::fs::write(&json_path, json).expect("write findings artifact");

@@ -29,8 +29,9 @@ use kpt_obs::{parse_json, JsonValue};
 
 /// Every trace must contain at least one event whose kind starts with each
 /// of these prefixes — one per instrumented subsystem. `server` covers the
-/// kpt-server request spans (`server.request`), per-iteration solve
-/// progress (`server.solve.progress`) and session-arena counters.
+/// kpt-server request and solve spans (`server.request`, `server.solve`),
+/// per-iteration solve progress (`server.solve.progress`) and
+/// session-arena counters.
 const REQUIRED_KIND_PREFIXES: [&str; 7] = [
     "fixpoint", "cache", "pool", "solver", "bdd", "lint", "server",
 ];

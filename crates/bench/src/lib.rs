@@ -10,9 +10,7 @@
 //! * [`parse_bench_json`] — parse a `BENCH_*.json` snapshot (as written
 //!   by `kpt_testkit::bench::results_to_json`) back into cases;
 //! * [`diff_snapshots`] — the variance-aware comparison behind the
-//!   `bench_diff` bin and the CI regression gate;
-//! * [`json_escape`] — the conservative string escaper shared with
-//!   hand-rolled JSON emitters (`fuzz_smoke`'s findings artifact).
+//!   `bench_diff` bin and the CI regression gate.
 
 use std::time::Duration;
 
@@ -50,19 +48,6 @@ pub fn report_config(
         ),
     };
     (config, fast)
-}
-
-/// Escape a string for embedding in a JSON document: backslash-escapes
-/// `"` and `\`, `\u` escapes for control characters.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// One benchmark case as recorded in a `BENCH_*.json` snapshot.

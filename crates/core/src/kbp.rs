@@ -31,6 +31,8 @@ use std::sync::Mutex;
 
 use kpt_state::{Predicate, VarSet};
 use kpt_testkit::pool;
+use kpt_transformers::iterate_to_fixpoint;
+pub use kpt_transformers::IterativeOutcome;
 use kpt_unity::{CompiledProgram, Program};
 
 use crate::error::CoreError;
@@ -395,58 +397,22 @@ impl Kbp {
     }
 
     /// The iteration `x_{k+1} = SI(program[K @ x_k])` from `x_0 = init`,
-    /// with cycle detection. Any claimed solution is verified before being
-    /// returned.
+    /// with cycle detection, run by [`iterate_to_fixpoint`] under the
+    /// `solver.iterative` span and `solver.progress` events. A converged
+    /// candidate is a fixpoint of [`Kbp::iterate`], so it passes
+    /// [`Kbp::is_solution`] by construction.
     ///
     /// # Errors
     /// Compilation errors.
     pub fn solve_iterative(&self, max_iterations: usize) -> Result<IterativeOutcome, CoreError> {
-        let mut span = kpt_obs::span("solver.iterative");
         kpt_obs::counter!("solver.iterative.runs").incr();
-        let mut x = self.program.init().clone();
-        let mut seen: Vec<Predicate> = vec![x.clone()];
-        for k in 0..max_iterations {
-            let next = self.iterate(&x)?;
-            if span.is_live() {
-                // Stream one progress event per eq. (25) iteration so long
-                // solves are observable while they run.
-                kpt_obs::event(
-                    "solver.progress",
-                    &[
-                        ("iteration", (k + 1).into()),
-                        ("candidate_states", next.count().into()),
-                        ("converged", (next == x).into()),
-                    ],
-                );
-            }
-            if next == x {
-                // Fixpoint of the iteration — i.e. a genuine solution.
-                span.field("outcome", "converged");
-                span.field("iterations", (k + 1) as u64);
-                span.finish();
-                return Ok(IterativeOutcome::Converged {
-                    solution: x,
-                    iterations: k + 1,
-                });
-            }
-            if let Some(pos) = seen.iter().position(|p| p == &next) {
-                span.field("outcome", "cycle");
-                span.field("period", (seen.len() - pos) as u64);
-                span.finish();
-                return Ok(IterativeOutcome::Cycle {
-                    period: seen.len() - pos,
-                    entered_after: pos,
-                });
-            }
-            seen.push(next.clone());
-            x = next;
-        }
-        span.field("outcome", "inconclusive");
-        span.field("iterations", max_iterations as u64);
-        span.finish();
-        Ok(IterativeOutcome::Inconclusive {
-            iterations: max_iterations,
-        })
+        iterate_to_fixpoint(
+            self.program.init().clone(),
+            max_iterations,
+            "solver.iterative",
+            "solver.progress",
+            |x| self.iterate(x),
+        )
     }
 }
 
@@ -458,43 +424,6 @@ fn record_exhaustive(mut span: kpt_obs::Span, candidates: u64, solutions: usize)
     span.field("candidates", candidates);
     span.field("solutions", solutions as u64);
     span.finish();
-}
-
-/// The outcome of [`Kbp::solve_iterative`].
-#[derive(Debug, Clone)]
-pub enum IterativeOutcome {
-    /// The iteration reached a fixpoint, which is a verified solution of
-    /// eq. (25).
-    Converged {
-        /// The solution.
-        solution: Predicate,
-        /// Iterations used.
-        iterations: usize,
-    },
-    /// The iteration entered a cycle of the given period — strong evidence
-    /// (though not proof) of Figure-1-style ill-posedness; use
-    /// [`Kbp::solve_exhaustive`] on small spaces to decide.
-    Cycle {
-        /// Length of the cycle.
-        period: usize,
-        /// Iterations before entering the cycle.
-        entered_after: usize,
-    },
-    /// The iteration budget ran out.
-    Inconclusive {
-        /// Iterations used.
-        iterations: usize,
-    },
-}
-
-impl IterativeOutcome {
-    /// The solution, if the iteration converged.
-    pub fn solution(&self) -> Option<&Predicate> {
-        match self {
-            IterativeOutcome::Converged { solution, .. } => Some(solution),
-            _ => None,
-        }
-    }
 }
 
 /// The complete set of eq. (25) solutions found by exhaustive search.

@@ -35,11 +35,12 @@ use std::thread::{self, JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
 use kpt_bdd::BddError;
-use kpt_core::Kbp;
+use kpt_core::IterativeOutcome;
 use kpt_logic::KnowledgeFn;
 use kpt_obs::Verdict;
-use kpt_state::Predicate;
+use kpt_state::{Predicate, PredicateOps};
 use kpt_testkit::pool::{num_threads, TaskPool};
+use kpt_transformers::iterate_to_fixpoint;
 use kpt_unity::{explain_property, Property};
 
 use crate::proto::{codes, parse_request, verdict_json, Engine, Frame, Request, RequestKind};
@@ -218,84 +219,72 @@ fn bdd_error(e: BddError) -> ExecError {
     }
 }
 
-/// The iterative outcome in wire form.
-enum Solved {
-    Converged {
-        solution: Predicate,
-        iterations: usize,
-        cached: bool,
-    },
-    Cycle {
-        period: usize,
-        entered_after: usize,
-    },
-    Inconclusive {
-        iterations: usize,
-    },
-}
-
-/// Mirror of [`Kbp::solve_iterative`] — same iterate calls in the same
-/// order, so the result is bit-identical to the library's — with a
-/// cancellation/deadline check before each iteration and a
-/// `server.solve.progress` event after each.
-fn solve_explicit(kbp: &Kbp, max_iterations: usize, ctl: &Ctl) -> Result<Solved, ExecError> {
-    let mut x = kbp.program().init().clone();
-    let mut seen: Vec<Predicate> = vec![x.clone()];
-    for k in 0..max_iterations {
-        ctl.check()?;
-        let next = kbp
-            .iterate(&x)
-            .map_err(|e| ExecError::new(codes::INTERNAL, e.to_string()))?;
-        kpt_obs::event(
-            "server.solve.progress",
-            &[
-                ("iteration", (k + 1).into()),
-                ("candidate_states", next.count().into()),
-                ("converged", (next == x).into()),
-            ],
-        );
-        if next == x {
-            return Ok(Solved::Converged {
-                solution: x,
-                iterations: k + 1,
-                cached: false,
-            });
-        }
-        if let Some(pos) = seen.iter().position(|p| p == &next) {
-            return Ok(Solved::Cycle {
-                period: seen.len() - pos,
-                entered_after: pos,
-            });
-        }
-        seen.push(next.clone());
-        x = next;
-    }
-    Ok(Solved::Inconclusive {
-        iterations: max_iterations,
-    })
-}
-
 /// Solve through the session cache: a previously converged solution found
-/// within the iteration cap is reused; anything else recomputes (and a
-/// fresh convergence is stored).
-fn solve_with_cache(model: &Model, max_iterations: usize, ctl: &Ctl) -> Result<Solved, ExecError> {
+/// within the iteration cap is reused (`cached` is `true`); anything else
+/// runs the explicit iteration — the same `iterate` calls in the same
+/// order as [`kpt_core::Kbp::solve_iterative`], with a cancellation and
+/// deadline check before each — and a fresh convergence is stored. Like
+/// the symbolic engine's iteration in `Exec::solve`, it runs under a
+/// `server.solve` span with one `server.solve.progress` event per step.
+fn solve_with_cache(
+    model: &Model,
+    max_iterations: usize,
+    ctl: &Ctl,
+) -> Result<(IterativeOutcome, bool), ExecError> {
     if let Some((solution, iterations)) = model.cached_solution(max_iterations) {
-        return Ok(Solved::Converged {
+        let outcome = IterativeOutcome::Converged {
             solution,
             iterations,
-            cached: true,
-        });
+        };
+        return Ok((outcome, true));
     }
-    let solved = solve_explicit(model.kbp(), max_iterations, ctl)?;
-    if let Solved::Converged {
+    let kbp = model.kbp();
+    let outcome = iterate_to_fixpoint(
+        kbp.program().init().clone(),
+        max_iterations,
+        "server.solve",
+        "server.solve.progress",
+        |x| {
+            ctl.check()?;
+            kbp.iterate(x)
+                .map_err(|e| ExecError::new(codes::INTERNAL, e.to_string()))
+        },
+    )?;
+    if let IterativeOutcome::Converged {
         solution,
         iterations,
-        ..
-    } = &solved
+    } = &outcome
     {
         model.store_solution(solution, *iterations);
     }
-    Ok(solved)
+    Ok((outcome, false))
+}
+
+/// Write an eq. (25) outcome of either engine into a `solve` frame.
+fn outcome_fields<P: PredicateOps>(f: &mut Frame, outcome: &IterativeOutcome<P>, cached: bool) {
+    match outcome {
+        IterativeOutcome::Converged {
+            solution,
+            iterations,
+        } => {
+            f.str_field("outcome", "converged");
+            f.u64_field("iterations", *iterations as u64);
+            f.u64_field("solution_states", solution.count());
+            f.bool_field("cached", cached);
+        }
+        IterativeOutcome::Cycle {
+            period,
+            entered_after,
+        } => {
+            f.str_field("outcome", "cycle");
+            f.u64_field("period", *period as u64);
+            f.u64_field("entered_after", *entered_after as u64);
+        }
+        IterativeOutcome::Inconclusive { iterations } => {
+            f.str_field("outcome", "inconclusive");
+            f.u64_field("iterations", *iterations as u64);
+        }
+    }
 }
 
 struct Exec<'a> {
@@ -391,71 +380,24 @@ impl Exec<'_> {
         match self.req.engine {
             Engine::Explicit => {
                 self.check_explicit_size(&model)?;
-                match solve_with_cache(&model, max_iterations, &self.ctl)? {
-                    Solved::Converged {
-                        solution,
-                        iterations,
-                        cached,
-                    } => {
-                        f.str_field("outcome", "converged");
-                        f.u64_field("iterations", iterations as u64);
-                        f.u64_field("solution_states", solution.count());
-                        f.bool_field("cached", cached);
-                    }
-                    Solved::Cycle {
-                        period,
-                        entered_after,
-                    } => {
-                        f.str_field("outcome", "cycle");
-                        f.u64_field("period", period as u64);
-                        f.u64_field("entered_after", entered_after as u64);
-                    }
-                    Solved::Inconclusive { iterations } => {
-                        f.str_field("outcome", "inconclusive");
-                        f.u64_field("iterations", iterations as u64);
-                    }
-                }
+                let (outcome, cached) = solve_with_cache(&model, max_iterations, &self.ctl)?;
+                outcome_fields(&mut f, &outcome, cached);
                 f.str_field("engine", "explicit");
             }
             Engine::Symbolic => {
                 let skbp = model.symbolic().map_err(bdd_error)?;
                 let budget = self.req.node_budget.unwrap_or(usize::MAX);
-                let mut x = skbp.init();
-                let mut seen = vec![x.clone()];
-                let mut done = false;
-                for k in 0..max_iterations {
-                    self.ctl.check()?;
-                    let next = skbp.iterate_bounded(&x, budget).map_err(bdd_error)?;
-                    kpt_obs::event(
-                        "server.solve.progress",
-                        &[
-                            ("iteration", (k + 1).into()),
-                            ("candidate_states", next.count().into()),
-                            ("converged", (next == x).into()),
-                        ],
-                    );
-                    if next == x {
-                        f.str_field("outcome", "converged");
-                        f.u64_field("iterations", (k + 1) as u64);
-                        f.u64_field("solution_states", x.count());
-                        f.bool_field("cached", false);
-                        done = true;
-                        break;
-                    }
-                    if let Some(pos) = seen.iter().position(|p| p == &next) {
-                        f.str_field("outcome", "cycle");
-                        f.u64_field("period", (seen.len() - pos) as u64);
-                        f.u64_field("entered_after", pos as u64);
-                        done = true;
-                        break;
-                    }
-                    seen.push(next.clone());
-                    x = next;
-                }
-                if !done {
-                    f.str_field("outcome", "inconclusive");
-                    f.u64_field("iterations", max_iterations as u64);
-                }
+                let outcome = iterate_to_fixpoint(
+                    skbp.init(),
+                    max_iterations,
+                    "server.solve",
+                    "server.solve.progress",
+                    |x| {
+                        self.ctl.check()?;
+                        skbp.iterate_bounded(x, budget).map_err(bdd_error)
+                    },
+                )?;
+                outcome_fields(&mut f, &outcome, false);
                 f.str_field("engine", "symbolic");
             }
         }
@@ -476,15 +418,15 @@ impl Exec<'_> {
         }
         let model = self.load_model()?;
         self.check_explicit_size(&model)?;
-        let solution = match solve_with_cache(&model, self.max_iterations(), &self.ctl)? {
-            Solved::Converged { solution, .. } => solution,
-            Solved::Cycle { period, .. } => {
+        let solution = match solve_with_cache(&model, self.max_iterations(), &self.ctl)?.0 {
+            IterativeOutcome::Converged { solution, .. } => solution,
+            IterativeOutcome::Cycle { period, .. } => {
                 return Err(ExecError::new(
                     codes::UNSOLVED,
                     format!("eq. (25) iteration cycles with period {period}; no solution"),
                 ))
             }
-            Solved::Inconclusive { iterations } => {
+            IterativeOutcome::Inconclusive { iterations } => {
                 return Err(ExecError::new(
                     codes::UNSOLVED,
                     format!("no fixpoint within {iterations} iterations"),
@@ -532,11 +474,10 @@ impl Exec<'_> {
         self.check_explicit_size(&model)?;
         let name = model.kbp().program().name().to_owned();
         let obligation = format!("kbp {name} solvable");
-        let verdict = match solve_with_cache(&model, self.max_iterations(), &self.ctl)? {
-            Solved::Converged {
+        let verdict = match solve_with_cache(&model, self.max_iterations(), &self.ctl)?.0 {
+            IterativeOutcome::Converged {
                 solution,
                 iterations,
-                ..
             } => Verdict {
                 obligation,
                 holds: true,
@@ -549,7 +490,7 @@ impl Exec<'_> {
                 ),
                 witnesses: kpt_state::witnesses(&solution, 4),
             },
-            Solved::Cycle {
+            IterativeOutcome::Cycle {
                 period,
                 entered_after,
             } => Verdict::fail(
@@ -561,7 +502,7 @@ impl Exec<'_> {
                 ),
                 Vec::new(),
             ),
-            Solved::Inconclusive { iterations } => Verdict::fail(
+            IterativeOutcome::Inconclusive { iterations } => Verdict::fail(
                 obligation,
                 format!("no fixpoint and no cycle within {iterations} iterations"),
                 Vec::new(),

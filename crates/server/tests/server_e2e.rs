@@ -113,6 +113,22 @@ fn field_u64(v: &JsonValue, key: &str) -> u64 {
     v.get(key).and_then(JsonValue::as_u64).unwrap_or(u64::MAX)
 }
 
+/// The `iteration` numbers of a request's `server.solve.progress` frames,
+/// in arrival order, after checking every forwarded frame is some
+/// `*.progress` event (library internals — frontier rounds, SI
+/// sub-solves — stream alongside the per-iteration frames).
+fn per_iteration(progress: &[JsonValue]) -> Vec<u64> {
+    assert!(!progress.is_empty());
+    for p in progress {
+        assert!(field_str(p, "kind").ends_with(".progress"), "got {p:?}");
+    }
+    progress
+        .iter()
+        .filter(|p| field_str(p, "kind") == "server.solve.progress")
+        .map(|p| field_u64(p, "iteration"))
+        .collect()
+}
+
 fn req(body: &str) -> String {
     body.replace('\'', "\"")
 }
@@ -271,26 +287,11 @@ fn progress_streams_and_solve_matches_direct_library_calls() {
     assert_eq!(field_str(&f, "outcome"), "converged");
     assert_eq!(field_u64(&f, "iterations"), want_iters);
     assert_eq!(field_u64(&f, "solution_states"), want_states);
-    // Every forwarded frame is some `*.progress` trace event tagged with
-    // this request's id; the solver's own per-iteration frames are the
-    // `server.solve.progress` subset (library internals — frontier
-    // rounds, SI sub-solves — stream alongside them).
-    assert!(!progress.is_empty());
-    for p in &progress {
-        assert!(field_str(p, "kind").ends_with(".progress"), "got {p:?}");
-    }
-    let per_iteration: Vec<_> = progress
-        .iter()
-        .filter(|p| field_str(p, "kind") == "server.solve.progress")
-        .collect();
     assert_eq!(
-        per_iteration.len() as u64,
-        want_iters,
+        per_iteration(&progress),
+        (1..=want_iters).collect::<Vec<_>>(),
         "one server.solve.progress frame per eq. (25) iteration"
     );
-    for (k, p) in per_iteration.iter().enumerate() {
-        assert_eq!(field_u64(p, "iteration"), k as u64 + 1);
-    }
 
     // A repeat solve is served from the converged-solution cache with
     // identical numbers.
@@ -302,6 +303,31 @@ fn progress_streams_and_solve_matches_direct_library_calls() {
     assert_eq!(field_u64(&f, "iterations"), want_iters);
     assert_eq!(field_u64(&f, "solution_states"), want_states);
     assert_eq!(f.get("cached").and_then(JsonValue::as_bool), Some(true));
+
+    // The symbolic engine streams the same one-frame-per-iteration
+    // progress and agrees with a direct `SymbolicKbp` solve.
+    let skbp = kpt_bdd::SymbolicKbp::from_program(kbp.program()).expect("translates");
+    let (sym_states, sym_iters) = match skbp.solve_iterative(64).expect("solves") {
+        kpt_bdd::SymbolicOutcome::Converged {
+            solution,
+            iterations,
+        } => (solution.count(), iterations as u64),
+        other => panic!("muddy children should converge symbolically, got {other:?}"),
+    };
+    c.send(&req(&format!(
+        "{{'id':11,'type':'solve','engine':'symbolic','source':'{}'}}",
+        json_str(&muddy)
+    )));
+    let (f, progress) = c.recv_terminal(11);
+    assert_eq!(field_str(&f, "engine"), "symbolic");
+    assert_eq!(field_str(&f, "outcome"), "converged");
+    assert_eq!(field_u64(&f, "iterations"), sym_iters);
+    assert_eq!(field_u64(&f, "solution_states"), sym_states);
+    assert_eq!(
+        per_iteration(&progress),
+        (1..=sym_iters).collect::<Vec<_>>(),
+        "one server.solve.progress frame per symbolic iteration"
+    );
     server.shutdown();
 }
 

@@ -26,46 +26,6 @@ fn fresh_outcome(src: &str) -> IterativeOutcome {
     kbp.solve_iterative(MAX_ITERATIONS).expect("solve runs")
 }
 
-fn assert_identical(got: &IterativeOutcome, want: &IterativeOutcome, src_tag: usize) {
-    match (got, want) {
-        (
-            IterativeOutcome::Converged {
-                solution: s1,
-                iterations: i1,
-            },
-            IterativeOutcome::Converged {
-                solution: s2,
-                iterations: i2,
-            },
-        ) => {
-            // Predicate equality is bitset equality: bit-identical.
-            assert_eq!(s1, s2, "solution differs for source {src_tag}");
-            assert_eq!(i1, i2, "iteration count differs for source {src_tag}");
-        }
-        (
-            IterativeOutcome::Cycle {
-                period: p1,
-                entered_after: e1,
-            },
-            IterativeOutcome::Cycle {
-                period: p2,
-                entered_after: e2,
-            },
-        ) => {
-            assert_eq!(
-                (p1, e1),
-                (p2, e2),
-                "cycle shape differs for source {src_tag}"
-            );
-        }
-        (
-            IterativeOutcome::Inconclusive { iterations: i1 },
-            IterativeOutcome::Inconclusive { iterations: i2 },
-        ) => assert_eq!(i1, i2),
-        (got, want) => panic!("outcome kind differs for source {src_tag}: {got:?} vs {want:?}"),
-    }
-}
-
 fn hammer(sessions: Arc<Sessions>, threads: usize, rounds: usize) {
     let srcs = sources();
     let expected: Vec<IterativeOutcome> = srcs.iter().map(|s| fresh_outcome(s)).collect();
@@ -85,7 +45,8 @@ fn hammer(sessions: Arc<Sessions>, threads: usize, rounds: usize) {
                         .kbp()
                         .solve_iterative(MAX_ITERATIONS)
                         .expect("solve runs");
-                    assert_identical(&got, &expected[i], i);
+                    // Predicate equality is bitset equality: bit-identical.
+                    assert_eq!(got, expected[i], "outcome differs for source {i}");
                     // Knowledge queries against the shared solution also
                     // agree with a fresh model's.
                     if let IterativeOutcome::Converged { solution, .. } = &got {
@@ -145,13 +106,12 @@ fn warm_memo_is_deterministic() {
         .expect("loads");
     let first = model.kbp().solve_iterative(MAX_ITERATIONS).expect("solve");
     let second = model.kbp().solve_iterative(MAX_ITERATIONS).expect("solve");
-    assert_identical(&second, &first, 0);
+    assert_eq!(second, first);
     // And both agree with an entirely fresh Kbp sharing nothing.
     let (_, fresh) = kpt_core::load_kpt(&kpt_core::muddy_children_kpt(2)).expect("parses");
     let fresh_kbp: &Kbp = &fresh;
-    assert_identical(
-        &fresh_kbp.solve_iterative(MAX_ITERATIONS).expect("solve"),
-        &first,
-        0,
+    assert_eq!(
+        fresh_kbp.solve_iterative(MAX_ITERATIONS).expect("solve"),
+        first
     );
 }

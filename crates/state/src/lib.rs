@@ -21,6 +21,8 @@
 //!   *weakest cylinder* `wcyl.V.p = (∀ V̄ :: p)` (built in `kpt-core`).
 //! * [`VarSet`] — variable sets, used as *process views* (§5: "a process in
 //!   our framework is simply a subset of program variables").
+//! * [`PredicateOps`] — the predicate interface the explicit and symbolic
+//!   (`kpt-bdd`) backends share.
 //!
 //! # Example
 //!
@@ -53,6 +55,7 @@
 
 mod domain;
 mod error;
+mod ops;
 mod predicate;
 mod quantify;
 mod space;
@@ -61,6 +64,7 @@ mod witness;
 
 pub use domain::{Domain, Value};
 pub use error::SpaceError;
+pub use ops::PredicateOps;
 pub use predicate::{Iter, Predicate};
 pub use quantify::{
     exists_set, exists_set_naive, exists_var, exists_var_naive, forall_set, forall_set_naive,

@@ -6,8 +6,17 @@
 //! `sst.p = (∃ i : 0 ≤ i : f^i.false)` where `f.x = SP.x ∨ p`. On a finite
 //! space the chain stabilises, so [`sst`] is exact. The *strongest
 //! invariant* is `SI = sst.init` (§2), characterising the reachable states.
+//!
+//! The knowledge-based programs of §4 replace that monotone chain by the
+//! non-monotone iteration of eq. (25), `x_{k+1} = SI(program[K @ x_k])`,
+//! which may converge, cycle (Figure 1), or run out of budget;
+//! [`iterate_to_fixpoint`] drives it for every backend and caller.
 
-use kpt_state::Predicate;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash};
+
+use kpt_state::{Predicate, PredicateOps};
 
 use crate::transformer::Transformer;
 use crate::transition::DetTransition;
@@ -217,6 +226,141 @@ pub fn is_stable(sp: &dyn Transformer, p: &Predicate) -> bool {
     sp.apply(p).entails(p)
 }
 
+/// The outcome of [`iterate_to_fixpoint`]: eq. (25)'s iteration over
+/// predicates of type `P` — `kpt_core::IterativeOutcome` over bitsets,
+/// `kpt_bdd::SymbolicOutcome` over BDD roots.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum IterativeOutcome<P = Predicate> {
+    /// The iteration reached a fixpoint `x = step(x)` — for eq. (25), a
+    /// verified solution.
+    Converged {
+        /// The solution.
+        solution: P,
+        /// Iterations used.
+        iterations: usize,
+    },
+    /// The iteration entered a cycle of the given period — strong evidence
+    /// (though not proof) of Figure-1-style ill-posedness; exhaustive
+    /// search (`kpt_core::Kbp::solve_exhaustive`) decides small spaces.
+    Cycle {
+        /// Length of the cycle.
+        period: usize,
+        /// Iterations before entering the cycle.
+        entered_after: usize,
+    },
+    /// The iteration budget ran out.
+    Inconclusive {
+        /// Iterations used.
+        iterations: usize,
+    },
+}
+
+impl<P> IterativeOutcome<P> {
+    /// The solution, if the iteration converged.
+    pub fn solution(&self) -> Option<&P> {
+        match self {
+            IterativeOutcome::Converged { solution, .. } => Some(solution),
+            _ => None,
+        }
+    }
+
+    /// The same outcome with the solution converted by `f` (e.g. a
+    /// symbolic solution to its explicit bitset, for differential checks).
+    #[must_use]
+    pub fn map<Q>(self, f: impl FnOnce(P) -> Q) -> IterativeOutcome<Q> {
+        match self {
+            IterativeOutcome::Converged {
+                solution,
+                iterations,
+            } => IterativeOutcome::Converged {
+                solution: f(solution),
+                iterations,
+            },
+            IterativeOutcome::Cycle {
+                period,
+                entered_after,
+            } => IterativeOutcome::Cycle {
+                period,
+                entered_after,
+            },
+            IterativeOutcome::Inconclusive { iterations } => {
+                IterativeOutcome::Inconclusive { iterations }
+            }
+        }
+    }
+}
+
+/// The eq. (25) iteration: iterate `x_{k+1} = step(x_k)` from `x_0 = init`
+/// for at most `max_iterations` steps, stopping at the first fixpoint
+/// (`Converged`) or the first candidate seen before (`Cycle`).
+///
+/// Cycle detection keeps every candidate with its first-seen index in a
+/// hash map, so each step costs one lookup whatever the history length.
+/// While tracing, every step streams a `progress_kind` event
+/// (`iteration`, `candidate_states`, `converged`) under a `span_kind`
+/// span, which closes with the outcome. A step error is returned as is, and `step` is
+/// not called again.
+///
+/// # Errors
+/// The first error `step` returns.
+pub fn iterate_to_fixpoint<P, E>(
+    init: P,
+    max_iterations: usize,
+    span_kind: &str,
+    progress_kind: &str,
+    mut step: impl FnMut(&P) -> Result<P, E>,
+) -> Result<IterativeOutcome<P>, E>
+where
+    P: PredicateOps + Eq + Hash,
+{
+    let mut span = kpt_obs::span(span_kind);
+    // Fixed-key hashing: the candidates are the solver's own, and the
+    // map's layout (so the order its candidates are freed in) is then the
+    // same in every process.
+    let mut seen: HashMap<P, usize, BuildHasherDefault<DefaultHasher>> = HashMap::default();
+    seen.insert(init.clone(), 0);
+    let mut x = init;
+    for k in 1..=max_iterations {
+        let next = step(&x)?;
+        if span.is_live() {
+            kpt_obs::event(
+                progress_kind,
+                &[
+                    ("iteration", k.into()),
+                    ("candidate_states", next.count().into()),
+                    ("converged", (next == x).into()),
+                ],
+            );
+        }
+        if next == x {
+            span.field("outcome", "converged");
+            span.field("iterations", k as u64);
+            span.finish();
+            return Ok(IterativeOutcome::Converged {
+                solution: x,
+                iterations: k,
+            });
+        }
+        if let Some(&pos) = seen.get(&next) {
+            span.field("outcome", "cycle");
+            span.field("period", (k - pos) as u64);
+            span.finish();
+            return Ok(IterativeOutcome::Cycle {
+                period: k - pos,
+                entered_after: pos,
+            });
+        }
+        seen.insert(next.clone(), k);
+        x = next;
+    }
+    span.field("outcome", "inconclusive");
+    span.field("iterations", max_iterations as u64);
+    span.finish();
+    Ok(IterativeOutcome::Inconclusive {
+        iterations: max_iterations,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,5 +511,114 @@ mod tests {
         assert!(si.everywhere());
         assert!(stats.iterations >= 16, "iterations = {}", stats.iterations);
         assert_eq!(stats.result_states, 16);
+    }
+
+    /// A 32-state predicate in one word: enough [`PredicateOps`] for
+    /// [`iterate_to_fixpoint`], with no engine behind it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    struct Bits(u32);
+
+    impl PredicateOps for Bits {
+        fn and(&self, o: &Self) -> Self {
+            Bits(self.0 & o.0)
+        }
+        fn or(&self, o: &Self) -> Self {
+            Bits(self.0 | o.0)
+        }
+        fn negate(&self) -> Self {
+            Bits(!self.0)
+        }
+        fn implies(&self, o: &Self) -> Self {
+            Bits(!self.0 | o.0)
+        }
+        fn iff(&self, o: &Self) -> Self {
+            Bits(!(self.0 ^ o.0))
+        }
+        fn is_false(&self) -> bool {
+            self.0 == 0
+        }
+        fn everywhere(&self) -> bool {
+            self.0 == u32::MAX
+        }
+        fn entails(&self, o: &Self) -> bool {
+            self.0 & !o.0 == 0
+        }
+        fn count(&self) -> u64 {
+            u64::from(self.0.count_ones())
+        }
+        fn holds(&self, state: u64) -> bool {
+            state < 32 && self.0 >> state & 1 == 1
+        }
+    }
+
+    /// Drive the iteration along the fixed successor table `next`,
+    /// counting calls of the step function.
+    fn run(
+        next: &[u32],
+        max_iterations: usize,
+        fail_at: Option<usize>,
+    ) -> (Result<IterativeOutcome<Bits>, usize>, usize) {
+        let mut calls = 0;
+        let outcome = iterate_to_fixpoint(
+            Bits(0),
+            max_iterations,
+            "test.iterative",
+            "test.progress",
+            |x: &Bits| {
+                calls += 1;
+                if fail_at == Some(calls) {
+                    return Err(calls);
+                }
+                Ok(Bits(next[x.0 as usize]))
+            },
+        );
+        (outcome, calls)
+    }
+
+    #[test]
+    fn iteration_finds_the_period_and_tail_of_a_rho() {
+        // 0 → 1 → 2 → 3 → 4 → 5 → 6 → 3: a 3-step tail into a 4-cycle.
+        let rho = [1, 2, 3, 4, 5, 6, 3];
+        let (outcome, calls) = run(&rho, 64, None);
+        assert_eq!(
+            outcome,
+            Ok(IterativeOutcome::Cycle {
+                period: 4,
+                entered_after: 3
+            })
+        );
+        assert_eq!(calls, 7);
+    }
+
+    #[test]
+    fn iteration_converges_on_an_immediate_fixpoint() {
+        let (outcome, calls) = run(&[0], 64, None);
+        assert_eq!(
+            outcome,
+            Ok(IterativeOutcome::Converged {
+                solution: Bits(0),
+                iterations: 1
+            })
+        );
+        assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn iteration_with_no_budget_is_inconclusive_without_stepping() {
+        let (outcome, calls) = run(&[1, 0], 0, None);
+        assert_eq!(
+            outcome,
+            Ok(IterativeOutcome::Inconclusive { iterations: 0 })
+        );
+        assert_eq!(calls, 0);
+    }
+
+    #[test]
+    fn iteration_propagates_a_step_error_and_stops() {
+        // A long chain that would neither converge nor cycle in time.
+        let chain: Vec<u32> = (1..=16).collect();
+        let (outcome, calls) = run(&chain, 10, Some(3));
+        assert_eq!(outcome, Err(3));
+        assert_eq!(calls, 3, "no step after the failing one");
     }
 }

@@ -12,6 +12,9 @@
 //! * [`sst`] — the *strongest stable predicate weaker than `p`* of eq. (1),
 //!   computed by the Kleene iteration of eq. (3); [`strongest_invariant`]
 //!   is `SI = sst.init`, the exact reachable-state set (eq. 5);
+//! * [`iterate_to_fixpoint`] — the one loop of the non-monotone eq. (25)
+//!   iteration (cycle detection, progress events, [`IterativeOutcome`])
+//!   that both KBP engines and the server step;
 //! * junctivity analysis ([`check_monotonic`],
 //!   [`check_universally_conjunctive`], [`check_finitely_disjunctive`],
 //!   [`check_or_continuous`]) — decision procedures for the §2 properties,
@@ -43,8 +46,9 @@ mod transformer;
 mod transition;
 
 pub use fixpoint::{
-    gfp, is_stable, lfp, sst, sst_frontier, sst_frontier_with_stats, sst_with_stats,
-    strongest_invariant, strongest_invariant_frontier, FixpointStats,
+    gfp, is_stable, iterate_to_fixpoint, lfp, sst, sst_frontier, sst_frontier_with_stats,
+    sst_with_stats, strongest_invariant, strongest_invariant_frontier, FixpointStats,
+    IterativeOutcome,
 };
 pub use junctivity::{
     check_finitely_conjunctive, check_finitely_disjunctive, check_monotonic, check_or_continuous,

@@ -180,16 +180,13 @@ fn random_kbp_iteration_agrees() {
 fn figure1_agrees_across_backends() {
     let kbp = figure1().unwrap();
     let sym = SymbolicKbp::from_program(kbp.program()).unwrap();
-    match (
-        kbp.solve_iterative(32).unwrap(),
-        sym.solve_iterative(32).unwrap(),
-    ) {
-        (IterativeOutcome::Cycle { period: ep, .. }, SymbolicOutcome::Cycle { period: sp, .. }) => {
-            assert_eq!(ep, 2);
-            assert_eq!(sp, 2);
-        }
-        other => panic!("expected cycles on both backends, got {other:?}"),
-    }
+    let explicit = kbp.solve_iterative(32).unwrap();
+    assert!(
+        matches!(explicit, IterativeOutcome::Cycle { period: 2, .. }),
+        "expected a period-2 cycle, got {explicit:?}"
+    );
+    let symbolic = sym.solve_iterative(32).unwrap();
+    assert_eq!(symbolic.map(|s| s.to_explicit()), explicit);
     // All 8 candidates of the exhaustive search are refuted symbolically.
     let space = kbp.program().space().clone();
     let init = kbp.program().init().clone();

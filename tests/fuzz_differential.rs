@@ -8,14 +8,15 @@
 //! 3. the symbolic engine with GC *and* dynamic sifting enabled.
 //!
 //! All three must report the identical eq. (25) outcome — same variant,
-//! same iteration counts, same solution state set. Every generated
-//! program is additionally run through the **full lint pipeline** — a
-//! lint panic is a fuzz finding — which must report no errors on
-//! valid-by-construction input, and whose interval dead-guard verdicts
-//! (`KPT010`) must each be confirmed by the symbolic pass (`KPT007`):
-//! the `KPT010 ⊑ KPT007` soundness direction, pinned per statement on
-//! every campaign case. On top of that, the
-//! linter's knowledge-erased program is compiled on both backends: its
+//! same iteration counts, same solution state set — compared as one
+//! `IterativeOutcome` after mapping symbolic solutions to bitsets. Every
+//! generated program is additionally run through the **full lint
+//! pipeline** — a lint panic is a fuzz finding — which must report no
+//! errors on valid-by-construction input, and whose interval dead-guard
+//! verdicts (`KPT010`) must each be confirmed by the symbolic pass
+//! (`KPT007`): the `KPT010 ⊑ KPT007` soundness direction, pinned per
+//! statement on every campaign case. On top of that, the linter's
+//! knowledge-erased program is compiled on both backends: its
 //! `SI`s must agree bit-exactly, and by eq. (14) the erased `SI` must
 //! contain every converged solution (the sound over-approximation the
 //! static analyzer's dead-guard pass relies on).
@@ -30,62 +31,29 @@ use kpt_testkit::{check, Rng};
 
 const MAX_ITERS: usize = 32;
 
-/// An engine-agnostic view of an eq. (25) iteration outcome.
-#[derive(Debug, PartialEq)]
-enum Outcome {
-    /// Solution states (sorted) and iterations used.
-    Converged(Vec<u64>, usize),
-    Cycle {
-        period: usize,
-        entered_after: usize,
-    },
-    Inconclusive,
-}
-
-fn explicit_outcome(kbp: &Kbp) -> Outcome {
-    match kbp.solve_iterative(MAX_ITERS).expect("explicit solver") {
-        IterativeOutcome::Converged {
-            solution,
-            iterations,
-        } => {
-            assert!(kbp.is_solution(&solution).expect("explicit is_solution"));
-            Outcome::Converged(solution.iter().collect(), iterations)
-        }
-        IterativeOutcome::Cycle {
-            period,
-            entered_after,
-        } => Outcome::Cycle {
-            period,
-            entered_after,
-        },
-        IterativeOutcome::Inconclusive { .. } => Outcome::Inconclusive,
+/// The explicit engine's outcome, with a converged solution re-checked
+/// against eq. (25).
+fn explicit_outcome(kbp: &Kbp) -> IterativeOutcome {
+    let outcome = kbp.solve_iterative(MAX_ITERS).expect("explicit solver");
+    if let Some(solution) = outcome.solution() {
+        assert!(kbp.is_solution(solution).expect("explicit is_solution"));
     }
+    outcome
 }
 
-fn symbolic_outcome(program: &Program, config: BddConfig) -> Outcome {
+/// The symbolic engine's outcome under `config`, re-checked like
+/// [`explicit_outcome`] and converted to explicit bitsets for comparison.
+fn symbolic_outcome(program: &Program, config: BddConfig) -> IterativeOutcome {
     let symbolic = SymbolicKbp::from_program_with(program, config).expect("symbolic translation");
-    match symbolic
+    let outcome = symbolic
         .solve_iterative(MAX_ITERS)
-        .expect("symbolic solver")
-    {
-        SymbolicOutcome::Converged {
-            solution,
-            iterations,
-        } => {
-            assert!(symbolic
-                .is_solution(&solution)
-                .expect("symbolic is_solution"));
-            Outcome::Converged(solution.to_explicit().iter().collect(), iterations)
-        }
-        SymbolicOutcome::Cycle {
-            period,
-            entered_after,
-        } => Outcome::Cycle {
-            period,
-            entered_after,
-        },
-        SymbolicOutcome::Inconclusive { .. } => Outcome::Inconclusive,
+        .expect("symbolic solver");
+    if let Some(solution) = outcome.solution() {
+        assert!(symbolic
+            .is_solution(solution)
+            .expect("symbolic is_solution"));
     }
+    outcome.map(|s| s.to_explicit())
 }
 
 /// A gc+sift configuration with thresholds small enough that tiny fuzz
@@ -161,20 +129,17 @@ fn oracle(src: &str) {
     // every solution of the KBP (eq. 14).
     let erased = erased_program(&program).expect("erasure");
     let erased_si = erased.compile().expect("erased compile").si().clone();
+    // A plain program converges on both engines (after one or two
+    // iterations, whichever confirms the SI), so only the solution is
+    // compared.
     let symbolic_erased = symbolic_outcome(&erased, BddConfig::serial());
     assert_eq!(
-        Outcome::Converged(erased_si.iter().collect(), 1),
-        match symbolic_erased {
-            // A plain program converges in one iteration on both engines;
-            // normalize the iteration count in case the erased SI needed
-            // a second confirmation round.
-            Outcome::Converged(states, _) => Outcome::Converged(states, 1),
-            other => other,
-        },
+        symbolic_erased.solution(),
+        Some(&erased_si),
         "erased-program SI diverged on:\n{src}"
     );
-    if let Outcome::Converged(states, _) = &explicit {
-        for &st in states {
+    if let Some(solution) = explicit.solution() {
+        for st in solution.iter() {
             assert!(
                 erased_si.holds(st),
                 "state {st} solves the KBP but escapes the erased SI:\n{src}"
@@ -235,7 +200,7 @@ fn corpus_figure1_cycles_everywhere() {
     let (_, program) = parse_program(src).unwrap();
     let explicit = explicit_outcome(&Kbp::new(program.clone()));
     assert!(
-        matches!(explicit, Outcome::Cycle { .. }),
+        matches!(explicit, IterativeOutcome::Cycle { .. }),
         "figure 1 has no solution, got {explicit:?}"
     );
     oracle(src);
