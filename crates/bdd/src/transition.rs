@@ -365,8 +365,12 @@ impl SymbolicTransition {
     }
 
     /// Bridge from an explicit deterministic transition: one `(s, step s)`
-    /// pair cube per state. Costs an O(num_states) sweep — the explicit
-    /// table is already that large, so nothing is lost.
+    /// pair cube per state, OR-ed together. That is O(num_states) BDD
+    /// operations on top of the explicit table, and a strongest invariant
+    /// over bridged relations costs about 1000x the explicit one it
+    /// replays. Build relations from formulas where they exist
+    /// ([`SymbolicTransition::builder`], `SymbolicKbp`); the bridge suits
+    /// differential tests and the bit-blasted §6 replay.
     pub fn from_det(space: &Arc<BddSpace>, t: &DetTransition) -> Self {
         assert!(
             t.space().same_shape(space.space()),

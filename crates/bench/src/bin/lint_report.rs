@@ -73,7 +73,6 @@ fn models() -> Vec<(&'static str, Program)> {
 
 fn main() {
     let (config, _fast) = kpt_bench::report_config("BENCH_lint.json", 5, 15);
-    let config_samples = config.sample_size;
     let mut c = Criterion::with_config(config);
 
     let cases = models();
@@ -81,13 +80,6 @@ fn main() {
     {
         let mut group = c.benchmark_group("lint_full");
         for (label, program) in &cases {
-            // The seqtrans instances pay a multi-second symbolic SI per
-            // run; a couple of samples is plenty for a wall-time report.
-            group.sample_size(if label.starts_with("seqtrans") {
-                2
-            } else {
-                config_samples
-            });
             group.bench_function(format!("lint_{label}"), |b| {
                 b.iter(|| lint_program(program))
             });

@@ -22,10 +22,11 @@
 //!    syntactic Figure-1 circularity in `O(statements)`), and
 //!    unimplementable-knowledge flow (`KPT012`, a `K{i}` guard over
 //!    variables outside `V_i`'s reachable information).
-//! 4. [`symbolic`] — semantic checks through the `kpt-bdd` backend against
-//!    the strongest invariant of the *knowledge-erased* over-approximation:
-//!    guards unsatisfiable under `SI` (dead code), write-write races on
-//!    overlapping guards, and the eq.-25 knowledge-circularity analysis.
+//! 4. [`symbolic`] — semantic checks against the strongest invariant of
+//!    the *knowledge-erased* over-approximation: guards unsatisfiable
+//!    under `SI` (dead code), write-write races on overlapping guards, and
+//!    the eq.-25 knowledge-circularity analysis. The `SI` and guards are
+//!    the erased program's explicit ones.
 //!
 //! The knowledge erasure is sound by eq. (14) (`[K_i p ⇒ p]`): replacing a
 //! positive `K{i}(φ)` by `φ` and a negative one by `ff` only *weakens*
@@ -396,10 +397,10 @@ pub struct LintOptions {
     pub dataflow: bool,
     /// Run the symbolic checks (KPT007-KPT009).
     pub symbolic: bool,
-    /// Live-node budget for the symbolic pass's fixpoint. When the budget
-    /// trips, the symbolic findings are skipped (`symbolic_ran` stays
-    /// `false`) instead of letting the BDD engine grow without bound —
-    /// the fuzz campaign's setting.
+    /// Live-node budget for a BDD fixpoint in the symbolic pass. The pass
+    /// computes the erased program's `SI` explicitly and builds no BDD, so
+    /// the budget has no effect: the pass costs one explicit compile of
+    /// the erased program.
     pub symbolic_node_budget: Option<usize>,
 }
 
@@ -443,9 +444,9 @@ pub struct LintReport {
     /// Whether the dataflow pass ran (skipped when the shallower passes
     /// report errors, or when disabled).
     pub dataflow_ran: bool,
-    /// Whether the symbolic pass ran (it is skipped when the declaration
-    /// pass already found errors — the erased program would not compile —
-    /// or its node budget tripped).
+    /// Whether the symbolic pass's `KPT007`/`KPT008` checks ran (they are
+    /// skipped when the declaration pass already found errors or the
+    /// erased program does not compile).
     pub symbolic_ran: bool,
 }
 
@@ -614,8 +615,8 @@ pub fn lint_program(program: &Program) -> LintReport {
 ///
 /// The declaration and view passes are purely syntactic. The dataflow pass
 /// runs BDD-free abstract interpretation; the symbolic pass computes the
-/// strongest invariant of the knowledge-erased over-approximation through
-/// `kpt-bdd`. Both deeper passes are skipped (with `dataflow_ran` /
+/// explicit strongest invariant of the knowledge-erased
+/// over-approximation. Both deeper passes are skipped (with `dataflow_ran` /
 /// `symbolic_ran` false) when the earlier passes report errors — the
 /// erased program would not compile — or when disabled in `options`.
 pub fn lint_program_with(program: &Program, options: &LintOptions) -> LintReport {
@@ -641,7 +642,7 @@ pub fn lint_program_with(program: &Program, options: &LintOptions) -> LintReport
     let mut symbolic_ran = options.symbolic && !errors_so_far;
     if symbolic_ran {
         let _pass = kpt_obs::span("lint.pass.symbolic");
-        symbolic_ran = symbolic::check(program, options.symbolic_node_budget, &mut diagnostics);
+        symbolic_ran = symbolic::check(program, &mut diagnostics);
     }
     kpt_obs::counter!("lint.findings").add(diagnostics.len() as u64);
     span.field("program", program.name())

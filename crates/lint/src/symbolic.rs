@@ -1,4 +1,5 @@
-//! Depth 3 — symbolic checks via `kpt-bdd` (`KPT007`-`KPT009`).
+//! Depth 3 — semantic checks against the strongest invariant
+//! (`KPT007`-`KPT009`).
 //!
 //! The knowledge modalities are erased at positive polarity (see
 //! [`crate::erase`]), which only weakens guards; the erased program's
@@ -6,94 +7,65 @@
 //! the knowledge-based protocol (eq. 5, eq. 25). A guard unsatisfiable
 //! under that over-approximating `SI` is unsatisfiable under every
 //! solution's `SI` — genuinely dead code.
+//!
+//! The `SI` is the erased program's explicit, cached
+//! [`kpt_unity::CompiledProgram::si`] and the guards are its explicit
+//! erased guards ([`guard_over_approx`]). No BDD is built: a BDD relation
+//! rebuilt from the compiled transitions, one pair cube per state, makes
+//! the `SI` cost about 1000x the explicit one.
 
 use std::collections::BTreeSet;
 
-use kpt_bdd::{
-    symbolic_sst_bounded, symbolic_strongest_invariant, BddSpace, SymbolicEvalContext,
-    SymbolicPredicate, SymbolicTransition,
-};
 use kpt_logic::Formula;
 use kpt_state::{witness_state, Predicate, VarId};
 use kpt_unity::{Guard, Program, Statement};
 
-use crate::erase::{erase_knowledge, erased_program, eval_assign_rhs, top_level_knowledge};
+use crate::erase::{erased_program, eval_assign_rhs, guard_over_approx, top_level_knowledge};
 use crate::{Diagnostic, DiagnosticCode};
 
-/// Above this many states the race check stops enumerating overlap states
-/// and settles for the BDD's single witness.
-const MAX_ENUM_STATES: u64 = 1 << 20;
 /// At most this many overlap states are evaluated per statement pair.
 const MAX_OVERLAP_SAMPLES: usize = 1024;
 
 /// Run the symbolic checks. Assumes the declaration and view passes found
 /// no errors (the orchestrator skips this pass otherwise). Returns whether
-/// the pass completed — `false` only when `node_budget` tripped during the
-/// strongest-invariant fixpoint, in which case the KPT007/KPT008 findings
-/// are skipped (the syntactic KPT009 check has already run by then).
-pub fn check(program: &Program, node_budget: Option<usize>, diags: &mut Vec<Diagnostic>) -> bool {
+/// `KPT007`/`KPT008` ran — `false` when the erased program does not build
+/// or compile. The syntactic `KPT009` check has run in every case.
+pub(crate) fn check(program: &Program, diags: &mut Vec<Diagnostic>) -> bool {
     check_circularity(program, diags);
 
     let Ok(erased) = erased_program(program) else {
-        return true;
+        return false;
     };
     let Ok(compiled) = erased.compile() else {
-        return true;
+        return false;
     };
+    let si = compiled.si();
     let space = program.space();
-    let bdd = BddSpace::new(space);
-    let transitions: Vec<SymbolicTransition> = compiled
-        .transitions()
+    let guards: Vec<Option<Predicate>> = program
+        .statements()
         .iter()
-        .map(|t| SymbolicTransition::from_det(&bdd, t))
+        .map(|stmt| match stmt.guard() {
+            Guard::Always => None,
+            _ => guard_over_approx(space, stmt),
+        })
         .collect();
-    let init = SymbolicPredicate::from_explicit(&bdd, compiled.init());
-    let si = match node_budget {
-        None => symbolic_strongest_invariant(&transitions, &init),
-        Some(budget) => match symbolic_sst_bounded(&init, &transitions, budget) {
-            Ok((si, _)) => si,
-            Err(_) => return false,
-        },
-    };
 
     // KPT007: a guard false everywhere in the over-approximating SI can
     // never fire in any solution of the protocol.
-    let mut guards: Vec<Option<SymbolicPredicate>> = Vec::new();
-    for stmt in program.statements() {
-        let g = symbolic_guard(&bdd, stmt);
-        if let Some(g) = &g {
-            if g.and(&si).is_false() {
-                diags.push(Diagnostic::on_guard(
-                    DiagnosticCode::DeadGuard,
-                    stmt.name(),
-                    "guard is unsatisfiable within the strongest invariant of the \
-                     knowledge-erased program — the statement can never fire in \
-                     any solution of the protocol",
-                ));
-            }
+    for (stmt, g) in program.statements().iter().zip(&guards) {
+        if g.as_ref().is_some_and(|g| g.and(si).is_false()) {
+            diags.push(Diagnostic::on_guard(
+                DiagnosticCode::DeadGuard,
+                stmt.name(),
+                "guard is unsatisfiable within the strongest invariant of the \
+                 knowledge-erased program — the statement can never fire in \
+                 any solution of the protocol",
+            ));
         }
-        guards.push(g);
     }
 
-    check_races(program, diags, &si, &guards);
+    check_races(program, diags, si, &guards);
     true
-}
-
-/// The knowledge-erased guard of `stmt` as a symbolic predicate. `None`
-/// for `Guard::Always` (trivially live, nothing to check) or when the
-/// formula does not evaluate.
-fn symbolic_guard(bdd: &std::sync::Arc<BddSpace>, stmt: &Statement) -> Option<SymbolicPredicate> {
-    match stmt.guard() {
-        Guard::Always => None,
-        Guard::Pred(p) => Some(SymbolicPredicate::from_explicit(bdd, p)),
-        Guard::Formula(f) => {
-            let erased = erase_knowledge(f, true).simplify();
-            SymbolicEvalContext::new(bdd)
-                .with_params(stmt.params())
-                .eval(&erased)
-                .ok()
-        }
-    }
 }
 
 /// KPT008: two knowledge-free statements whose guards overlap inside the
@@ -101,12 +73,14 @@ fn symbolic_guard(bdd: &std::sync::Arc<BddSpace>, stmt: &Statement) -> Option<Sy
 /// overlap state — the nondeterministic scheduler makes the outcome racy.
 ///
 /// Knowledge-guarded statements are excluded: their enabledness depends on
-/// the solution's SI, so syntactic overlap proves nothing.
+/// the solution's SI, so syntactic overlap proves nothing. `guards[i]` is
+/// statement `i`'s erased guard, `None` when it is trivially true or does
+/// not evaluate.
 fn check_races(
     program: &Program,
     diags: &mut Vec<Diagnostic>,
-    si: &SymbolicPredicate,
-    guards: &[Option<SymbolicPredicate>],
+    si: &Predicate,
+    guards: &[Option<Predicate>],
 ) {
     let space = program.space();
     let stmts: Vec<&Statement> = program.statements().iter().collect();
@@ -133,15 +107,7 @@ fn check_races(
             if overlap.is_false() {
                 continue;
             }
-            let samples: Vec<u64> = if space.num_states() > MAX_ENUM_STATES {
-                overlap.witness().into_iter().collect()
-            } else {
-                overlap
-                    .to_explicit()
-                    .iter()
-                    .take(MAX_OVERLAP_SAMPLES)
-                    .collect()
-            };
+            let samples: Vec<u64> = overlap.iter().take(MAX_OVERLAP_SAMPLES).collect();
             'vars: for var in &shared {
                 let Ok(v) = space.var(var) else { continue };
                 let dom = space.domain(v).clone();
@@ -301,5 +267,171 @@ pub(crate) fn collect_formula_vars(
             collect_formula_vars(space, a, out);
             collect_formula_vars(space, b, out);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::erase::erase_knowledge;
+    use crate::registry::registry;
+    use kpt_bdd::{BddSpace, SymbolicEvalContext, SymbolicKbp};
+    use kpt_testkit::genprog::{gen_program, GenConfig};
+    use kpt_testkit::Rng;
+
+    /// `check`: whether KPT007/KPT008 ran, and every diagnostic rendered
+    /// in full (code, anchor, message, witnesses).
+    fn run(program: &Program) -> (bool, Vec<String>) {
+        let mut diags = Vec::new();
+        let ran = check(program, &mut diags);
+        (ran, diags.iter().map(|d| format!("{d:?}")).collect())
+    }
+
+    /// `n` booleans `b0..b{n-1}`, all false initially, plus the listed
+    /// statements — 2^n states.
+    fn booleans(n: usize, statements: &str) -> String {
+        let decl: String = (0..n).map(|i| format!("  b{i} : boolean\n")).collect();
+        let init: Vec<String> = (0..n).map(|i| format!("~b{i}")).collect();
+        format!(
+            "program wide\ndeclare\n{decl}processes\n  P = {{b0}}\ninit\n  {}\nassign\n{statements}",
+            init.join(" /\\ ")
+        )
+    }
+
+    fn parse(src: &str) -> Program {
+        kpt_unity::parse_program(src).expect("test source parses").1
+    }
+
+    /// The explicit guards `check` uses equal the ones the BDD engine
+    /// evaluates from the erased formulas, and the explicit `SI` equals
+    /// the one `SymbolicKbp`'s translator reaches — the inputs the symbolic
+    /// depth took before it went explicit. Returns whether the `SI` was
+    /// compared: not when the erased program does not compile or the
+    /// translator refuses it, nor for opaque updates on more than 2^12
+    /// states, which the translator sweeps state by state (seconds per §6
+    /// model in a debug build).
+    fn agrees_with_bdd(program: &Program) -> bool {
+        let space = program.space();
+        let bdd = BddSpace::new(space);
+        for stmt in program.statements() {
+            let Guard::Formula(f) = stmt.guard() else {
+                continue;
+            };
+            let symbolic = SymbolicEvalContext::new(&bdd)
+                .with_params(stmt.params())
+                .eval(&erase_knowledge(f, true).simplify())
+                .ok()
+                .map(|g| g.to_explicit());
+            assert_eq!(
+                symbolic,
+                guard_over_approx(space, stmt),
+                "{}: guard of `{}` differs",
+                program.name(),
+                stmt.name()
+            );
+        }
+        let opaque = program.statements().iter().any(|s| s.update_fn().is_some());
+        if opaque && space.num_states() > 1 << 12 {
+            return false;
+        }
+        let erased = erased_program(program).unwrap();
+        let Ok(compiled) = erased.compile() else {
+            return false;
+        };
+        let Ok(skbp) = SymbolicKbp::from_program(&erased) else {
+            return false;
+        };
+        let si = skbp.iterate(&skbp.init()).unwrap().to_explicit();
+        assert_eq!(&si, compiled.si(), "{}: SI differs", program.name());
+        true
+    }
+
+    #[test]
+    fn explicit_inputs_match_the_bdd_engine_on_every_registry_model() {
+        let mut compared = 0;
+        for case in registry() {
+            assert!(run(&case.program).0, "{}: checks skipped", case.name);
+            if agrees_with_bdd(&case.program) {
+                compared += 1;
+            }
+        }
+        // All but the two §6 models.
+        assert_eq!(compared, registry().len() - 2);
+    }
+
+    #[test]
+    fn explicit_inputs_match_the_bdd_engine_on_generated_programs() {
+        let config = GenConfig::default();
+        let (mut compared, mut findings) = (0, 0);
+        for seed in 0..240 {
+            let src = gen_program(&mut Rng::seed_from_u64(seed), &config);
+            let program = parse(&src);
+            if agrees_with_bdd(&program) {
+                compared += 1;
+            }
+            findings += run(&program).1.len();
+        }
+        assert!(compared >= 200, "only {compared} programs compared");
+        assert!(findings > 0, "no generated program produced a finding");
+    }
+
+    #[test]
+    fn seeded_dead_guard_and_race_are_found_in_a_large_space() {
+        // 2^17 states. `x` and `y` only ever rise together, so `dead` is
+        // dead by correlation alone (no interval proves it). `up` and
+        // `down` are both enabled once `x` and `y` are set; they agree on
+        // `b1` at the first overlap state (`b2` = 0) and differ once `set`
+        // has raised `b2`.
+        let src = booleans(
+            15,
+            "  both: x := 1 || y := 1 if ~x\n  [] dead: b0 := 1 if x /\\ ~y\n  \
+             [] set: b2 := 1 if ~b2\n  [] up: b1 := b2 if x\n  [] down: b1 := 0 if y\n",
+        )
+        .replace("declare\n", "declare\n  x : boolean\n  y : boolean\n")
+        .replace("init\n  ", "init\n  ~x /\\ ~y /\\ ");
+        let program = parse(&src);
+        let space = program.space();
+        assert_eq!(space.num_states(), 1 << 17);
+        let report = crate::lint_source(&src, &crate::LintOptions::default()).unwrap();
+        assert!(report.symbolic_ran);
+        let codes: Vec<&str> = report.codes().iter().map(|c| c.code()).collect();
+        assert_eq!(codes, ["KPT007", "KPT008"], "{report}");
+        assert_eq!(report.diagnostics[0].statement.as_deref(), Some("dead"));
+        let race = &report.diagnostics[1];
+        assert_eq!(race.statement.as_deref(), Some("up"));
+        assert_eq!(race.witnesses.len(), 1);
+        let witness = race.witnesses[0].index;
+        assert_eq!(space.value(witness, space.var("b2").unwrap()), 1);
+        assert!(program.compile().unwrap().si().holds(witness));
+        for stmt in &program.statements()[3..] {
+            let guard = guard_over_approx(space, stmt).unwrap();
+            assert!(
+                guard.holds(witness),
+                "`{}` disabled at the witness",
+                stmt.name()
+            );
+        }
+    }
+
+    #[test]
+    fn failed_compile_skips_the_checks() {
+        // `i := i + 1` leaves nat<2> at i = 1 and the guard enables it.
+        let program =
+            parse("program oob\ndeclare\n  i : nat<2>\ninit\n  i = 0\nassign\n  inc: i := i + 1\n");
+        assert_eq!(run(&program), (false, Vec::new()));
+    }
+
+    #[test]
+    fn skipped_checks_still_report_circularity() {
+        // Figure 1's shape over an out-of-range update: KPT009 is
+        // syntactic and runs even though the erased program fails.
+        let program = parse(
+            "program circ\ndeclare\n  x : boolean\n  i : nat<2>\nprocesses\n  P = {x}\n\
+             init\n  ~x /\\ i = 0\nassign\n  flip: x := 1 if K{P}(~x)\n  [] inc: i := i + 1\n",
+        );
+        let (ran, diags) = run(&program);
+        assert!(!ran);
+        assert_eq!(diags.len(), 1);
+        assert!(diags[0].contains("KnowledgeCircularity"), "{diags:?}");
     }
 }
