@@ -107,7 +107,7 @@ pub(crate) fn sst_raw_bounded(
     max_live_nodes: usize,
 ) -> Result<(NodeId, SymbolicFixpointStats), BddError> {
     let mut span = kpt_obs::span("bdd.fixpoint");
-    let traced = span.is_live();
+    let report = kpt_obs::progress_wanted();
     kpt_obs::counter!("bdd.fixpoint.runs").incr();
     let mut temps: Vec<NodeId> = vec![init];
     for rel in rels {
@@ -139,11 +139,11 @@ pub(crate) fn sst_raw_bounded(
         // GC and sifting run here if their policies say so.
         mgr.checkpoint(&temps);
         let live = mgr.live_nodes();
-        if traced {
+        if report {
             // The streaming primitive long solves expose to watchers
-            // (and, eventually, kpt-server clients): one event per round
-            // with the sizes that predict how far convergence is.
-            kpt_obs::event(
+            // (kpt-server clients, traces): one call per round with the
+            // sizes that predict how far convergence is.
+            kpt_obs::progress(
                 "bdd.fixpoint.progress",
                 &[
                     ("round", rounds.into()),

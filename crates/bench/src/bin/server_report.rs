@@ -1,10 +1,11 @@
 //! kpt-server load report: smoke-checks the wire protocol, fires a
 //! pipelined burst of mixed JSONL requests at an in-process server and
 //! verifies every id gets exactly one uncorrupted terminal frame, then
-//! measures closed-loop request latency under session-arena eviction
-//! churn. Writes `BENCH_server.json` (throughput + p50/p99 cases) plus a
-//! one-shot table on stdout; exits nonzero if any smoke or integrity
-//! check fails.
+//! measures closed-loop request latency warm (repeated sources, served
+//! from the session arena), on lint misses (every lint source new), and
+//! under session-arena eviction churn. Writes `BENCH_server.json`
+//! (throughput + p50/p99 cases) plus a one-shot table on stdout; exits
+//! nonzero if any smoke or integrity check fails.
 //!
 //! Usage: `cargo run --release -p kpt-bench --bin server_report`
 //! (`KPT_BENCH_JSON` overrides the output path, `KPT_BENCH_FAST=1` runs a
@@ -222,8 +223,16 @@ fn burst(server: &Server, sources: &[String]) -> (usize, f64) {
 
 /// Closed-loop latency: `threads` clients each send one request at a
 /// time over their own connection, alternating lint and solve across
-/// `sources`. Returns (lint, solve) latency samples in ns.
-fn closed_loop(server: &Server, sources: &[String], threads: usize, rounds: usize) -> LatencySets {
+/// `sources`. With `fresh_lints`, every lint source starts with its own
+/// comment line, so each lint misses the session arena and elaborates
+/// and lints from scratch. Returns (lint, solve) latency samples in ns.
+fn closed_loop(
+    server: &Server,
+    sources: &[String],
+    threads: usize,
+    rounds: usize,
+    fresh_lints: bool,
+) -> LatencySets {
     let handles: Vec<_> = (0..threads)
         .map(|t| {
             let mut c = Client::connect(server);
@@ -234,7 +243,12 @@ fn closed_loop(server: &Server, sources: &[String], threads: usize, rounds: usiz
                 for r in 0..rounds {
                     let id = (t * rounds + r + 1) as u64;
                     let src = &sources[(t + r) % sources.len()];
-                    let (frame, bucket) = if r % 2 == 0 {
+                    let (frame, bucket) = if r % 2 == 0 && fresh_lints {
+                        (
+                            lint_frame(id, &format!("// lint miss {t}-{r}\n{src}")),
+                            &mut lint,
+                        )
+                    } else if r % 2 == 0 {
                         (lint_frame(id, src), &mut lint)
                     } else {
                         (solve_frame(id, src), &mut solve)
@@ -342,10 +356,11 @@ fn main() {
     let throughput = burst_total as f64 / burst_secs;
 
     let (threads, rounds) = if fast { (4, 30) } else { (4, 150) };
-    let lat = closed_loop(&load_server, &cheap, threads, rounds);
+    let lat = closed_loop(&load_server, &cheap, threads, rounds, false);
+    let miss = closed_loop(&load_server, &cheap, threads, rounds, true);
 
     let (churn_threads, churn_rounds) = if fast { (2, 8) } else { (2, 24) };
-    let churn = closed_loop(&churn_server, &rotation, churn_threads, churn_rounds);
+    let churn = closed_loop(&churn_server, &rotation, churn_threads, churn_rounds, false);
 
     let sessions = churn_server.sessions();
     let (hits, misses, evictions) = (sessions.hits(), sessions.misses(), sessions.evictions());
@@ -368,6 +383,7 @@ fn main() {
         },
         latency_case("lint_p50", &lat.lint, 0.50),
         latency_case("lint_p99", &lat.lint, 0.99),
+        latency_case("lint_miss_p50", &miss.lint, 0.50),
         latency_case("solve_p50", &lat.solve, 0.50),
         latency_case("solve_p99", &lat.solve, 0.99),
         latency_case("evict_solve_p50", &churn.solve, 0.50),
@@ -380,6 +396,7 @@ fn main() {
     );
     for (name, set) in [
         ("lint", &lat.lint),
+        ("lint miss", &miss.lint),
         ("solve", &lat.solve),
         ("evict", &churn.solve),
     ] {

@@ -661,21 +661,32 @@ pub fn lint_kbp(kbp: &Kbp) -> LintReport {
 }
 
 /// Parse a textual `.kpt` source and lint the elaborated program — the
-/// one entry point shared by the `kpt_lint` CLI's file mode, kpt-server's
-/// `lint` request, and the fuzz campaign's lint leg. Parse/elaboration
-/// failures come back as a spanned [`kpt_unity::UnityError`] (render caret
-/// diagnostics against the source with [`kpt_unity::UnityError::render`]);
-/// a program that elaborates is linted with [`lint_program_with`] and
-/// every diagnostic's [`Anchor`] is resolved to a byte span through the
-/// [`kpt_unity::SourceMap`], ready for [`LintReport::render_source`].
+/// entry point shared by the `kpt_lint` CLI's file mode and the fuzz
+/// campaign's lint leg. Parse/elaboration failures come back as a spanned
+/// [`kpt_unity::UnityError`] (render caret diagnostics against the source
+/// with [`kpt_unity::UnityError::render`]); a program that elaborates is
+/// linted with [`lint_program_mapped`].
 ///
 /// # Errors
 /// The frontend's [`kpt_unity::UnityError`] on malformed sources.
 pub fn lint_source(src: &str, options: &LintOptions) -> Result<LintReport, kpt_unity::UnityError> {
     let (_, program, map) = kpt_unity::parse_program_mapped(src)?;
-    let mut report = lint_program_with(&program, options);
-    resolve_spans(&mut report, &map);
-    Ok(report)
+    Ok(lint_program_mapped(&program, &map, options))
+}
+
+/// Lint a program elaborated from `.kpt` text — [`lint_source`] after
+/// parsing. Runs [`lint_program_with`], then resolves every diagnostic's
+/// [`Anchor`] to a byte span through `map`, ready for
+/// [`LintReport::render_source`]. kpt-server calls it on the program and
+/// map its session arena already holds.
+pub fn lint_program_mapped(
+    program: &Program,
+    map: &SourceMap,
+    options: &LintOptions,
+) -> LintReport {
+    let mut report = lint_program_with(program, options);
+    resolve_spans(&mut report, map);
+    report
 }
 
 /// Resolve every diagnostic's [`Anchor`] against the source map. Anchors

@@ -18,6 +18,10 @@
 //!   and marked in-band instead of being silent. When tracing is
 //!   disabled — the default — every entry point is a single relaxed
 //!   atomic load and a branch: no clock reads, no allocation, no locks.
+//! * **Progress** ([`progress`], [`progress_scope`], [`progress_wanted`])
+//!   — per-step reports from long fixpoints: a trace event while tracing,
+//!   and a call into the thread's scoped progress sink, if any, whether
+//!   or not tracing is on.
 //! * **Profiles** ([`profile_to_file`], `KPT_PROFILE=<path>`,
 //!   [`aggregate_spans`], [`folded_stacks`]) — exact self-time
 //!   attribution over the span tree, exported in the flamegraph.pl
@@ -52,7 +56,8 @@ pub use profile::{
     span_records, SpanAggregate, SpanRecord,
 };
 pub use trace::{
-    disable_trace, dropped_events, event, json_escape_into, recent_events, set_trace_subscriber,
-    span, trace_enabled, trace_path, trace_to_file, trace_to_ring, Event, Field, Span, Subscriber,
+    disable_trace, dropped_events, event, json_escape_into, progress, progress_scope,
+    progress_wanted, recent_events, span, trace_enabled, trace_path, trace_to_file, trace_to_ring,
+    Event, Field, ProgressScope, Span,
 };
 pub use verdict::{report_verdict, Verdict, WitnessState};

@@ -48,22 +48,26 @@
 //!   [`disable_trace`], which override the environment setting and may be
 //!   called repeatedly (tests switch sinks freely).
 //!
-//! ## Subscribers
+//! ## Progress sinks
 //!
-//! A process may install one programmatic subscriber
-//! ([`set_trace_subscriber`]): a callback invoked with every emitted
-//! event, on the emitting thread, *before* the event enters the ring/file
-//! sink (so the callback never contends with the sink lock). kpt-server
-//! uses this to forward `*.progress` events to the connection that owns
-//! the in-flight request. Events the callback itself emits are not
-//! re-dispatched (a thread-local re-entrancy latch), so a subscriber may
-//! freely call traced code.
+//! Long computations report headway through [`progress`]: one call per
+//! step, with a `*.progress` kind and the step's fields. The call is
+//! recorded as a trace event when tracing is on, and is also handed to
+//! the thread's *progress sink*, if one is in scope. A sink is installed
+//! with [`progress_scope`] and stays in scope until the returned guard
+//! drops, which restores whatever sink was in scope before. Sinks are
+//! per thread: work the computation fans out to other threads reports to
+//! those threads' sinks, usually none. kpt-server scopes a sink around
+//! each request it runs, forwarding that request's progress to its
+//! connection. No sink, and no tracing, makes [`progress_wanted`] false,
+//! so emitters skip computing their fields.
 
 use std::cell::RefCell;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Once, OnceLock};
+use std::sync::{Mutex, Once, OnceLock};
 use std::time::Instant;
 
 use crate::profile;
@@ -232,6 +236,32 @@ struct SinkState {
     dropped: u64,
 }
 
+impl SinkState {
+    /// Push `ev` into the ring and, when a file sink is installed,
+    /// append it there as one JSON line (events are serialized for the
+    /// file only). False when the file write failed.
+    fn record(&mut self, ev: Event) -> bool {
+        let written = match self.file.as_mut() {
+            Some(f) => {
+                let mut line = ev.to_json();
+                line.push('\n');
+                // One write call per line: concurrent processes appending
+                // to the same trace file interleave whole lines, keeping
+                // the JSONL valid.
+                f.write_all(line.as_bytes()).is_ok()
+            }
+            None => true,
+        };
+        if self.ring.len() >= RING_CAP {
+            self.ring.pop_front();
+            self.dropped += 1;
+            crate::counter!("trace.dropped_events").incr();
+        }
+        self.ring.push_back(ev);
+        written
+    }
+}
+
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static INIT: Once = Once::new();
 /// Next span id; 0 is reserved so ids are always nonzero.
@@ -250,59 +280,54 @@ struct OpenSpan {
 
 thread_local! {
     static SPAN_STACK: RefCell<Vec<OpenSpan>> = const { RefCell::new(Vec::new()) };
-    /// Re-entrancy latch: set while the subscriber callback runs on this
-    /// thread, so events it emits are sunk but not re-dispatched.
-    static IN_SUBSCRIBER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static PROGRESS_SINK: RefCell<Option<ProgressSink>> = const { RefCell::new(None) };
 }
 
-/// The installed subscriber callback, if any: see
-/// [`set_trace_subscriber`].
-pub type Subscriber = Arc<dyn Fn(&Event) + Send + Sync>;
+/// A thread's progress sink: see [`progress_scope`].
+type ProgressSink = Rc<dyn Fn(&str, &[(&str, Field)])>;
 
-/// Fast-path check so the disabled/no-subscriber cost stays one load.
-static SUBSCRIBER_ACTIVE: AtomicBool = AtomicBool::new(false);
-
-fn subscriber_slot() -> &'static Mutex<Option<Subscriber>> {
-    static SLOT: OnceLock<Mutex<Option<Subscriber>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
+/// The guard [`progress_scope`] returns. While it lives, [`progress`]
+/// calls on this thread reach its sink; dropping it puts back the sink
+/// that was in scope before. It is not `Send`: a scope belongs to the
+/// thread that opened it.
+#[must_use = "the sink is in scope only while the guard lives"]
+pub struct ProgressScope {
+    prev: Option<ProgressSink>,
 }
 
-/// Install (`Some`) or remove (`None`) the process-wide trace subscriber.
-/// Installing one enables tracing (events must flow for the callback to
-/// see them); removing it does **not** disable tracing — call
-/// [`disable_trace`] for that, so a subscriber can come and go without
-/// clobbering a `KPT_TRACE` file sink installed next to it.
-pub fn set_trace_subscriber(sub: Option<Subscriber>) {
-    ensure_init();
-    let active = sub.is_some();
-    *subscriber_slot().lock().expect("subscriber slot poisoned") = sub;
-    SUBSCRIBER_ACTIVE.store(active, Ordering::Release);
-    if active {
-        ENABLED.store(true, Ordering::Release);
+/// Bring `sink` into scope on this thread until the guard drops. Scopes
+/// nest: an inner scope shadows the outer one, and dropping it restores
+/// the outer sink.
+pub fn progress_scope(sink: impl Fn(&str, &[(&str, Field)]) + 'static) -> ProgressScope {
+    let prev = PROGRESS_SINK.with(|s| s.replace(Some(Rc::new(sink))));
+    ProgressScope { prev }
+}
+
+impl Drop for ProgressScope {
+    fn drop(&mut self) {
+        let prev = self.prev.take();
+        PROGRESS_SINK.with(|s| *s.borrow_mut() = prev);
     }
 }
 
-/// Hand `ev` to the subscriber, if one is installed and this thread is not
-/// already inside the callback.
-fn dispatch_subscriber(ev: &Event) {
-    if !SUBSCRIBER_ACTIVE.load(Ordering::Acquire) {
-        return;
+/// Whether a [`progress`] call on this thread would reach anyone: a sink
+/// is in scope or tracing is on. Emitters check it before computing the
+/// fields of a progress call.
+#[inline]
+pub fn progress_wanted() -> bool {
+    trace_enabled() || PROGRESS_SINK.with(|s| s.borrow().is_some())
+}
+
+/// Report one step of a long computation: hand `kind` and `fields` to
+/// this thread's progress sink, if one is in scope, and record them as a
+/// trace [`event`] when tracing is on.
+pub fn progress(kind: &str, fields: &[(&str, Field)]) {
+    // Cloned out of the cell so the sink may itself open a scope.
+    let sink = PROGRESS_SINK.with(|s| s.borrow().clone());
+    if let Some(sink) = sink {
+        sink(kind, fields);
     }
-    let Some(sub) = subscriber_slot()
-        .lock()
-        .expect("subscriber slot poisoned")
-        .clone()
-    else {
-        return;
-    };
-    IN_SUBSCRIBER.with(|latch| {
-        if latch.get() {
-            return;
-        }
-        latch.set(true);
-        sub(ev);
-        latch.set(false);
-    });
+    event(kind, fields);
 }
 
 fn sink() -> &'static Mutex<SinkState> {
@@ -442,30 +467,8 @@ pub fn dropped_events() -> u64 {
 }
 
 fn emit(ev: Event) {
-    // The subscriber sees the event before the sink lock is taken, on the
-    // emitting thread, so its own locks never nest inside the sink's.
-    dispatch_subscriber(&ev);
-    let mut line = ev.to_json();
-    line.push('\n');
     let mut s = sink().lock().expect("trace sink poisoned");
-    let mut write_failed = false;
-    let push = |s: &mut SinkState, ev: Event, line: &str, failed: &mut bool| {
-        if s.ring.len() >= RING_CAP {
-            s.ring.pop_front();
-            s.dropped += 1;
-            crate::counter!("trace.dropped_events").incr();
-        }
-        s.ring.push_back(ev);
-        if let Some(f) = s.file.as_mut() {
-            // One write call per line: concurrent processes appending to
-            // the same trace file interleave whole lines, keeping the
-            // JSONL valid.
-            if f.write_all(line.as_bytes()).is_err() {
-                *failed = true;
-            }
-        }
-    };
-    push(&mut s, ev, &line, &mut write_failed);
+    let mut write_failed = !s.record(ev);
     // Surface ring overflow in the trace itself: a marker on the first
     // wrap, then one per DROP_MARK_EVERY overwritten events. Constructed
     // inline (never through `event`) so it cannot recurse.
@@ -478,9 +481,7 @@ fn emit(ev: Event) {
             parent_id: None,
             fields: vec![("dropped".to_owned(), Field::U64(s.dropped))],
         };
-        let mut mline = marker.to_json();
-        mline.push('\n');
-        push(&mut s, marker, &mline, &mut write_failed);
+        write_failed |= !s.record(marker);
     }
     if write_failed {
         // Degrade to ring-only tracing rather than retrying a dead file
@@ -773,41 +774,62 @@ mod tests {
         assert!(matches!(marker.field("dropped"), Some(&Field::U64(n)) if n > 0));
     }
 
+    /// A sink that records the kinds it is handed, tagged with `tag`.
+    fn recording(tag: &'static str, log: &Rc<RefCell<Vec<String>>>) -> ProgressScope {
+        let log = Rc::clone(log);
+        progress_scope(move |kind, fields| {
+            assert_eq!(fields, &[("n", Field::U64(1))]);
+            log.borrow_mut().push(format!("{tag}:{kind}"));
+        })
+    }
+
     #[test]
-    fn subscriber_sees_events_without_reentrant_dispatch() {
-        let _g = guard();
-        let seen: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        set_trace_subscriber(Some(Arc::new(move |ev: &Event| {
-            // Emitting from inside the callback must sink but not recurse.
-            if ev.kind == "test.sub.outer" {
-                event("test.sub.from-callback", &[]);
-            }
-            sink.lock().unwrap().push(ev.kind.clone());
-        })));
-        assert!(trace_enabled(), "installing a subscriber enables tracing");
-        event("test.sub.outer", &[("n", Field::U64(1))]);
+    fn nested_progress_scopes_restore_the_outer_sink() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let outer = recording("outer", &log);
+        progress("a.progress", &[("n", Field::U64(1))]);
         {
-            let mut sp = span("test.sub.span");
-            sp.field("x", 1u64);
+            let _inner = recording("inner", &log);
+            progress("b.progress", &[("n", Field::U64(1))]);
         }
-        set_trace_subscriber(None);
-        event("test.sub.after", &[]);
+        progress("c.progress", &[("n", Field::U64(1))]);
+        drop(outer);
+        progress("d.progress", &[("n", Field::U64(1))]);
+        assert_eq!(
+            *log.borrow(),
+            ["outer:a.progress", "inner:b.progress", "outer:c.progress"]
+        );
+    }
+
+    #[test]
+    fn progress_sinks_are_per_thread() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let _scope = recording("main", &log);
+        assert!(progress_wanted());
+        let elsewhere = std::thread::spawn(|| {
+            progress("other.progress", &[("n", Field::U64(1))]);
+            PROGRESS_SINK.with(|s| s.borrow().is_some())
+        })
+        .join()
+        .unwrap();
+        assert!(!elsewhere, "a scope never leaks to another thread");
+        assert!(log.borrow().is_empty());
+    }
+
+    #[test]
+    fn progress_is_unwanted_without_a_scope_or_tracing() {
+        let _g = guard();
         disable_trace();
-        let kinds = seen.lock().unwrap().clone();
-        assert!(kinds.contains(&"test.sub.outer".to_owned()));
-        assert!(kinds.contains(&"test.sub.span".to_owned()));
-        assert!(
-            !kinds.contains(&"test.sub.from-callback".to_owned()),
-            "callback-emitted events must not re-enter the callback"
-        );
-        assert!(
-            !kinds.contains(&"test.sub.after".to_owned()),
-            "a removed subscriber sees nothing"
-        );
-        // The callback-emitted event still reached the ring sink.
-        let all = recent_events();
-        assert!(all.iter().any(|e| e.kind == "test.sub.from-callback"));
+        assert!(!progress_wanted());
+        let before = recent_events().len();
+        progress("test.unwanted.progress", &[("n", Field::U64(1))]);
+        assert_eq!(recent_events().len(), before);
+        trace_to_ring();
+        assert!(progress_wanted(), "tracing alone wants progress");
+        progress("test.traced.progress", &[("n", Field::U64(1))]);
+        let evs = recent_events();
+        disable_trace();
+        assert!(evs.iter().any(|e| e.kind == "test.traced.progress"));
     }
 
     #[test]

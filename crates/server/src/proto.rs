@@ -3,8 +3,8 @@
 //! Every frame — in either direction — is one JSON object on one line.
 //! Clients send *requests*; the server answers each request id with
 //! exactly one terminal frame (`result` or `error`), possibly preceded by
-//! any number of `progress` frames carrying forwarded `*.progress` trace
-//! events from the in-flight computation.
+//! any number of `progress` frames carrying the in-flight computation's
+//! `kpt_obs::progress` reports.
 //!
 //! ## Requests
 //!

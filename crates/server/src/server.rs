@@ -9,14 +9,14 @@
 //!
 //! ## Progress streaming
 //!
-//! While a request runs on a worker, a process-global route table maps
-//! that worker's [`ThreadId`] to `(connection writer, request id)`. A
-//! trace subscriber ([`kpt_obs::set_trace_subscriber`]) forwards every
-//! `*.progress` event emitted on a routed thread — the solver's own
-//! `solver.progress`/`bdd.fixpoint.progress` stream and the server's
-//! per-iteration `server.solve.progress` — to the owning connection as
-//! `progress` frames keyed by the request id. Unrouted threads (library
-//! use outside the server) pay one hash lookup per progress event.
+//! A worker runs each request inside a [`kpt_obs::progress_scope`] whose
+//! sink writes every [`kpt_obs::progress`] call made on that thread — the
+//! server's per-iteration `server.solve.progress`, and the library's
+//! `fixpoint.frontier.progress`/`bdd.fixpoint.progress` rounds — to the
+//! request's connection as a `progress` frame keyed by the request id.
+//! The scope ends with the request. It does not turn tracing on: a server
+//! traces only when `KPT_TRACE`, `KPT_PROFILE` or a `trace_to_*` call asks
+//! for it.
 //!
 //! ## Shutdown
 //!
@@ -30,8 +30,8 @@ use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Once, OnceLock};
-use std::thread::{self, JoinHandle, ThreadId};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use kpt_bdd::BddError;
@@ -79,8 +79,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Serialized frame sink shared by a connection's reader thread, its
-/// in-flight workers, and the progress forwarder.
+/// Serialized frame sink shared by a connection's reader thread and its
+/// in-flight workers (terminal and progress frames alike).
 struct FrameWriter {
     w: Mutex<Box<dyn Write + Send>>,
 }
@@ -108,63 +108,6 @@ impl FrameWriter {
 struct Conn {
     writer: Arc<FrameWriter>,
     cancels: Mutex<HashMap<u64, Arc<AtomicBool>>>,
-}
-
-// ---------------------------------------------------------------------
-// Progress routing
-// ---------------------------------------------------------------------
-
-type Routes = Mutex<HashMap<ThreadId, (Arc<FrameWriter>, u64)>>;
-
-fn routes() -> &'static Routes {
-    static ROUTES: OnceLock<Routes> = OnceLock::new();
-    ROUTES.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Install the `*.progress` forwarder exactly once per process. The
-/// subscriber slot is global, so every [`Server`] in the process shares
-/// this one forwarder; it is a no-op on threads with no active route.
-fn install_progress_subscriber() {
-    static INSTALL: Once = Once::new();
-    INSTALL.call_once(|| {
-        kpt_obs::set_trace_subscriber(Some(Arc::new(|ev: &kpt_obs::Event| {
-            if !ev.kind.ends_with(".progress") {
-                return;
-            }
-            let route = routes()
-                .lock()
-                .ok()
-                .and_then(|m| m.get(&thread::current().id()).cloned());
-            if let Some((writer, id)) = route {
-                let mut f = Frame::progress(id, &ev.kind);
-                for (k, v) in &ev.fields {
-                    f.event_field(k, v);
-                }
-                let _ = writer.send(&f.finish());
-            }
-        })));
-    });
-}
-
-/// RAII route registration: progress events emitted on this thread while
-/// the guard lives are forwarded to `writer` keyed by `id`.
-struct ProgressRoute;
-
-impl ProgressRoute {
-    fn set(writer: &Arc<FrameWriter>, id: u64) -> ProgressRoute {
-        if let Ok(mut m) = routes().lock() {
-            m.insert(thread::current().id(), (Arc::clone(writer), id));
-        }
-        ProgressRoute
-    }
-}
-
-impl Drop for ProgressRoute {
-    fn drop(&mut self) {
-        if let Ok(mut m) = routes().lock() {
-            m.remove(&thread::current().id());
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -357,19 +300,14 @@ impl Exec<'_> {
 
     fn lint(&self) -> Result<Frame, ExecError> {
         // The dataflow passes always run (they are near-linear); the
-        // request flag only gates the expensive symbolic pass.
-        let options = kpt_lint::LintOptions {
-            symbolic: self.req.symbolic_lint,
-            ..kpt_lint::LintOptions::default()
-        };
-        // Same entry point as the `kpt_lint` CLI's file mode — report
-        // JSON carries per-diagnostic byte spans into the source text.
-        let report = kpt_lint::lint_source(self.source(), &options)
-            .map_err(|e| parse_error(self.source(), &e))?;
+        // request flag only gates the expensive symbolic pass. The answer
+        // is the `kpt_lint` CLI's file-mode report, byte spans included,
+        // cached on the model per flag.
+        let answer = self.load_model()?.lint(self.req.symbolic_lint);
         let mut f = Frame::result(self.req.id, RequestKind::Lint);
-        f.u64_field("errors", report.error_count() as u64);
-        f.u64_field("warnings", report.warning_count() as u64);
-        f.raw_field("report", &report.to_json());
+        f.u64_field("errors", answer.errors);
+        f.u64_field("warnings", answer.warnings);
+        f.raw_field("report", &answer.report);
         Ok(f)
     }
 
@@ -575,7 +513,7 @@ impl Shared {
     }
 }
 
-/// Run one request on a pool worker: route progress frames, execute,
+/// Run one request on a pool worker: stream its progress frames, execute,
 /// send the terminal frame, record metrics.
 fn run_request(shared: &Shared, conn: &Conn, req: Request, cancel: Arc<AtomicBool>) {
     let started = Instant::now();
@@ -596,9 +534,17 @@ fn run_request(shared: &Shared, conn: &Conn, req: Request, cancel: Arc<AtomicBoo
             deadline: Some(started + Duration::from_millis(deadline_ms)),
         },
     };
-    let route = ProgressRoute::set(&conn.writer, req.id);
+    let writer = Arc::clone(&conn.writer);
+    let id = req.id;
+    let scope = kpt_obs::progress_scope(move |kind, fields| {
+        let mut f = Frame::progress(id, kind);
+        for (k, v) in fields {
+            f.event_field(k, v);
+        }
+        let _ = writer.send(&f.finish());
+    });
     let outcome = exec.run();
-    drop(route);
+    drop(scope);
     let frame = match outcome {
         Ok(f) => {
             span.field("outcome", "ok");
@@ -809,7 +755,6 @@ impl Server {
     /// # Errors
     /// Propagates the bind failure.
     pub fn bind(addr: &str, config: ServerConfig) -> io::Result<Server> {
-        install_progress_subscriber();
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared::new(config));
@@ -939,7 +884,6 @@ impl Drop for Server {
 /// then drain the pool. The transport differs from TCP; the request
 /// execution path is byte-for-byte the same.
 pub fn run_stdio(config: ServerConfig) {
-    install_progress_subscriber();
     let shared = Arc::new(Shared::new(config));
     let conn = Arc::new(Conn {
         writer: Arc::new(FrameWriter::new(Box::new(io::stdout()))),

@@ -1,10 +1,11 @@
 //! Session-scoped arenas: elaborated models shared across requests.
 //!
-//! Parsing a `.kpt` source, compiling its statements and (lazily) building
-//! its ROBDD translation dominate request latency for any model worth
-//! serving. The [`Sessions`] arena keys that work by source text: the
-//! first request for a source pays elaboration, every later request — on
-//! any connection — reuses the same [`Model`] behind an `Arc`.
+//! Parsing a `.kpt` source, compiling its statements, linting it and
+//! (lazily) building its ROBDD translation dominate request latency for
+//! any model worth serving. The [`Sessions`] arena keys that work by
+//! source text: the first request for a source pays elaboration, every
+//! later request — on any connection — reuses the same [`Model`] behind
+//! an `Arc`, with its lint reports and converged solution cached on it.
 //!
 //! ## Ownership and eviction
 //!
@@ -29,8 +30,9 @@ use std::sync::{Arc, Mutex};
 
 use kpt_bdd::{BddError, SymbolicKbp};
 use kpt_core::Kbp;
+use kpt_lint::LintOptions;
 use kpt_state::{Predicate, StateSpace};
-use kpt_unity::UnityError;
+use kpt_unity::{SourceMap, UnityError};
 
 /// Bounds on the arena's resident set.
 #[derive(Debug, Clone, Copy)]
@@ -50,28 +52,42 @@ impl Default for SessionConfig {
     }
 }
 
+/// A lint report as a `lint` result frame carries it.
+pub(crate) struct LintAnswer {
+    pub(crate) errors: u64,
+    pub(crate) warnings: u64,
+    /// The report's JSON ([`kpt_lint::LintReport::to_json`]).
+    pub(crate) report: String,
+}
+
 /// One elaborated model: the state space, the explicit KBP solver with
-/// its SI memo, and the lazily built symbolic translation.
+/// its SI memo, the source map, and the lazily built symbolic translation
+/// and lint reports.
 pub struct Model {
     source: String,
     space: Arc<StateSpace>,
     kbp: Arc<Kbp>,
+    map: SourceMap,
     symbolic: Mutex<Option<Arc<SymbolicKbp>>>,
     /// Cache of the *converged* eq. (25) iterative outcome: `(solution,
     /// iterations)`. Cycle/inconclusive outcomes depend on the requested
     /// iteration cap and are recomputed per request.
     solved: Mutex<Option<(Predicate, usize)>>,
+    /// Lint answers, indexed by the request's `symbolic` flag.
+    linted: Mutex<[Option<Arc<LintAnswer>>; 2]>,
 }
 
 impl Model {
     fn build(source: &str) -> Result<Model, UnityError> {
-        let (space, program) = kpt_unity::parse_program(source)?;
+        let (space, program, map) = kpt_unity::parse_program_mapped(source)?;
         Ok(Model {
             source: source.to_owned(),
             space,
             kbp: Arc::new(Kbp::new(program)),
+            map,
             symbolic: Mutex::new(None),
             solved: Mutex::new(None),
+            linted: Mutex::new([None, None]),
         })
     }
 
@@ -114,10 +130,35 @@ impl Model {
         }
     }
 
+    /// The lint answer for this model's program — every pass, the
+    /// symbolic one only when `symbolic` — with spans resolved through
+    /// the source map. Computed on first use per flag, outside the lock
+    /// (concurrent first callers may both lint; the first answer stored
+    /// is the one kept), then served from the cache.
+    pub(crate) fn lint(&self, symbolic: bool) -> Arc<LintAnswer> {
+        let slot = usize::from(symbolic);
+        if let Some(answer) = &self.linted.lock().expect("lint lock poisoned")[slot] {
+            return Arc::clone(answer);
+        }
+        let options = LintOptions {
+            symbolic,
+            ..LintOptions::default()
+        };
+        let report = kpt_lint::lint_program_mapped(self.kbp.program(), &self.map, &options);
+        let answer = Arc::new(LintAnswer {
+            errors: report.error_count() as u64,
+            warnings: report.warning_count() as u64,
+            report: report.to_json(),
+        });
+        let mut linted = self.linted.lock().expect("lint lock poisoned");
+        Arc::clone(linted[slot].get_or_insert(answer))
+    }
+
     /// Approximate resident bytes: the SI memo's predicates (one bitset of
     /// `num_states` bits per cached candidate, twice — key and value —
-    /// plus SI and init), the source text, and a flat allowance for the
-    /// symbolic manager when it has been built.
+    /// plus SI and init), the source text and its source map, the cached
+    /// lint reports, and a flat allowance for the symbolic manager when it
+    /// has been built.
     pub fn approx_bytes(&self) -> u64 {
         let bitset = self.space.num_states() / 8 + 64;
         let cached = self.kbp.cached_candidates() as u64;
@@ -126,8 +167,37 @@ impl Model {
         } else {
             0
         };
-        bitset * (2 * cached + 4) + self.source.len() as u64 + symbolic
+        let linted: u64 = self
+            .linted
+            .lock()
+            .map(|l| l.iter().flatten().map(|a| a.report.len() as u64).sum())
+            .unwrap_or(0);
+        bitset * (2 * cached + 4)
+            + self.source.len() as u64
+            + source_map_bytes(&self.map)
+            + linted
+            + symbolic
     }
+}
+
+/// Approximate heap bytes of a source map: its entries and their names.
+fn source_map_bytes(map: &SourceMap) -> u64 {
+    use kpt_logic::Span;
+    use std::mem::size_of;
+    let named = |name: &String| (name.len() + size_of::<(String, Span)>()) as u64;
+    let statements: u64 = map
+        .statements
+        .iter()
+        .map(|s| {
+            (size_of::<kpt_unity::StatementSpans>()
+                + s.name.len()
+                + s.assigns.len() * size_of::<Span>()) as u64
+        })
+        .sum();
+    map.decls.iter().map(|(n, _)| named(n)).sum::<u64>()
+        + map.processes.iter().map(|(n, _)| named(n)).sum::<u64>()
+        + (map.init_conjuncts.len() * size_of::<Span>()) as u64
+        + statements
 }
 
 struct Entry {
@@ -334,6 +404,24 @@ mod tests {
         let _b = s.get_or_load(SRC_B).expect("loads b");
         assert_eq!(s.len(), 1, "byte bound evicts down to one entry");
         assert!(s.evictions() >= 1);
+    }
+
+    #[test]
+    fn lint_reports_are_cached_and_counted_in_the_estimate() {
+        let s = Sessions::new(SessionConfig::default());
+        let m = s.get_or_load(SRC_A).expect("loads");
+        let before = m.approx_bytes();
+        let answer = m.lint(true);
+        assert!(
+            Arc::ptr_eq(&answer, &m.lint(true)),
+            "a second lint is a cache hit"
+        );
+        assert!(
+            m.approx_bytes() >= before + answer.report.len() as u64,
+            "the estimate grows by at least the report"
+        );
+        let fast = m.lint(false);
+        assert!(m.approx_bytes() >= before + (answer.report.len() + fast.report.len()) as u64);
     }
 
     #[test]

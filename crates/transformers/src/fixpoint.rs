@@ -166,21 +166,21 @@ pub fn sst_frontier_with_stats(
 ) -> (Predicate, FixpointStats) {
     let mut span = kpt_obs::span("fixpoint.frontier");
     span.field("statements", transitions.len() as u64);
-    let traced = span.is_live();
+    let report = kpt_obs::progress_wanted();
     let frontier_hist = kpt_obs::histogram!("fixpoint.frontier.size");
     let mut reach = p.clone();
     let mut frontier = p.clone();
     let mut iterations = 1;
     while !frontier.is_false() {
         iterations += 1;
-        if traced {
-            // Per-round frontier sizes are a trace-only luxury: counting a
+        if report {
+            // Per-round frontier sizes are only for watchers: counting a
             // bitset is a full sweep, too costly for the always-on path.
             let size = frontier.count();
             frontier_hist.record(size);
-            // One streaming progress event per propagation round, parented
-            // under this fixpoint's span.
-            kpt_obs::event(
+            // One progress call per propagation round, parented under
+            // this fixpoint's span while tracing.
+            kpt_obs::progress(
                 "fixpoint.frontier.progress",
                 &[
                     ("round", iterations.into()),
@@ -296,9 +296,10 @@ impl<P> IterativeOutcome<P> {
 ///
 /// Cycle detection keeps every candidate with its first-seen index in a
 /// hash map, so each step costs one lookup whatever the history length.
-/// While tracing, every step streams a `progress_kind` event
-/// (`iteration`, `candidate_states`, `converged`) under a `span_kind`
-/// span, which closes with the outcome. A step error is returned as is, and `step` is
+/// Every step reports a `progress_kind` [`kpt_obs::progress`] call
+/// (`iteration`, `candidate_states`, `converged`) when a progress sink is
+/// in scope or tracing is on; under tracing the steps sit in a
+/// `span_kind` span, which closes with the outcome. A step error is returned as is, and `step` is
 /// not called again.
 ///
 /// # Errors
@@ -314,6 +315,7 @@ where
     P: PredicateOps + Eq + Hash,
 {
     let mut span = kpt_obs::span(span_kind);
+    let report = kpt_obs::progress_wanted();
     // Fixed-key hashing: the candidates are the solver's own, and the
     // map's layout (so the order its candidates are freed in) is then the
     // same in every process.
@@ -322,8 +324,8 @@ where
     let mut x = init;
     for k in 1..=max_iterations {
         let next = step(&x)?;
-        if span.is_live() {
-            kpt_obs::event(
+        if report {
+            kpt_obs::progress(
                 progress_kind,
                 &[
                     ("iteration", k.into()),
