@@ -129,7 +129,10 @@ fn knowledge_cases(c: &mut Criterion) {
     group.finish();
 }
 
-fn parallel_cases(c: &mut Criterion) {
+/// Solver-level cases. The group keeps its historical `parallel_pool` name
+/// (and each case its `_serial` suffix) so `bench_diff` still matches the
+/// committed baselines; every case runs on the calling thread.
+fn solver_cases(c: &mut Criterion) {
     use kpt_core::{Kbp, KnowledgeContext};
     use kpt_state::VarSet;
     use kpt_unity::{Program, Statement};
@@ -139,8 +142,8 @@ fn parallel_cases(c: &mut Criterion) {
 
     // KBP exhaustive search: 2^8 candidate invariants, each needing a
     // knowledge-guard compilation plus an SI fixpoint. A fresh `Kbp` per
-    // iteration defeats the candidate ↦ SI memo, so the pool fan-out (not
-    // the cache) is what's measured.
+    // iteration defeats the candidate ↦ SI memo, so the search itself
+    // (not the cache) is what's measured.
     let space = StateSpace::builder()
         .nat_var("i", 9)
         .unwrap()
@@ -164,19 +167,11 @@ fn parallel_cases(c: &mut Criterion) {
                 .unwrap(),
         )
     };
-    // Note: at 256 candidates `solve_exhaustive` now applies its
-    // auto-serial cutoff (the fan-out overhead exceeded the win — measured
-    // flat, par ≈ serial, before the cutoff), so this pair documents the
-    // cutoff rather than pool scaling.
-    group.bench_function("solve_exhaustive_par/256candidates", |b| {
+    group.bench_function("solve_exhaustive_serial/256candidates", |b| {
         b.iter(|| make_kbp().solve_exhaustive(16).unwrap())
     });
-    group.bench_function("solve_exhaustive_serial/256candidates", |b| {
-        b.iter(|| make_kbp().solve_exhaustive_serial(16).unwrap())
-    });
 
-    // Scaling case above the cutoff: 2^12 = 4096 candidates, large enough
-    // for the pool fan-out to amortise thread spawn on multicore hosts.
+    // The same search at 2^12 = 4096 candidates.
     let big_space = StateSpace::builder()
         .nat_var("i", 13)
         .unwrap()
@@ -200,15 +195,12 @@ fn parallel_cases(c: &mut Criterion) {
                 .unwrap(),
         )
     };
-    group.bench_function("solve_exhaustive_par/4096candidates", |b| {
+    group.bench_function("solve_exhaustive_serial/4096candidates", |b| {
         b.iter(|| make_big_kbp().solve_exhaustive(16).unwrap())
     });
-    group.bench_function("solve_exhaustive_serial/4096candidates", |b| {
-        b.iter(|| make_big_kbp().solve_exhaustive_serial(16).unwrap())
-    });
 
-    // Batch knowledge: eight distinct views over 65536 states, fresh memo
-    // per iteration so every `K_i p` sweep is actually computed.
+    // `K_i p` for eight distinct views over 65536 states, fresh memo per
+    // iteration so every eq. (13) sweep is actually computed.
     let kspace = space_with_vars(8, 4);
     let views: Vec<(String, VarSet)> = (0..8)
         .map(|i| {
@@ -220,20 +212,11 @@ fn parallel_cases(c: &mut Criterion) {
         .collect();
     let si = Predicate::from_fn(&kspace, |s| s % 7 != 0);
     let p = Predicate::from_fn(&kspace, |s| s % 3 == 1);
-    group.bench_function("knows_all_par/8views_65536states", |b| {
+    group.bench_function("knows_all_serial/8views_65536states", |b| {
         b.iter(|| {
             KnowledgeContext::new(&kspace, views.clone(), si.clone())
                 .unwrap()
                 .knows_all(&p)
-        })
-    });
-    group.bench_function("knows_all_serial/8views_65536states", |b| {
-        b.iter(|| {
-            let ctx = KnowledgeContext::new(&kspace, views.clone(), si.clone()).unwrap();
-            views
-                .iter()
-                .map(|(_, v)| ctx.knows_view(*v, &p))
-                .collect::<Vec<_>>()
         })
     });
     group.finish();
@@ -245,7 +228,7 @@ fn main() {
     quantifier_cases(&mut c);
     fixpoint_cases(&mut c);
     knowledge_cases(&mut c);
-    parallel_cases(&mut c);
+    solver_cases(&mut c);
 
     // Speedup table: pair `kernel_*`/`naive_*`, `frontier_*`/`kleene_*`,
     // `*_warm`/`*_cold` cases within each group.
@@ -268,15 +251,6 @@ fn main() {
         ("frontier_long_chain", "kleene_long_chain"),
         ("frontier_wide", "kleene_wide"),
         ("knows_warm", "knows_cold"),
-        (
-            "solve_exhaustive_par/256candidates",
-            "solve_exhaustive_serial/256candidates",
-        ),
-        (
-            "solve_exhaustive_par/4096candidates",
-            "solve_exhaustive_serial/4096candidates",
-        ),
-        ("knows_all_par", "knows_all_serial"),
     ];
     for (opt, naive) in pairs {
         if let (Some(o), Some(n)) = (find(opt), find(naive)) {

@@ -300,12 +300,11 @@ fn summarize(path: &str) -> ExitCode {
         for e in &pool_maps {
             let items = e.get("items").and_then(JsonValue::as_u64).unwrap_or(0);
             let workers = e.get("workers").and_then(JsonValue::as_u64).unwrap_or(0);
-            let steals = e.get("steals").and_then(JsonValue::as_u64).unwrap_or(0);
             let per = e
                 .get("per_worker")
                 .and_then(JsonValue::as_str)
                 .unwrap_or("");
-            println!("  items={items} workers={workers} steals={steals}  [{per}]");
+            println!("  items={items} workers={workers}  [{per}]");
         }
     }
 

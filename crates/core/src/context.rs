@@ -24,7 +24,6 @@ use std::sync::{Arc, Mutex};
 use kpt_logic::EvalError;
 use kpt_obs::CacheStats;
 use kpt_state::{forall_var, Predicate, StateSpace, VarId, VarSet};
-use kpt_testkit::pool;
 use kpt_unity::CompiledProgram;
 
 use crate::error::CoreError;
@@ -166,9 +165,18 @@ impl KnowledgeContext {
         order
     }
 
-    /// The eq. (13) computation itself — `p ∧ (wcyl.V.(SI ⇒ p) ∨ ¬SI)` —
-    /// with no memo traffic. Shared by the serial and batch entry points.
-    fn compute_knows_view(&self, view: VarSet, p: &Predicate) -> Predicate {
+    /// `K p` by eq. (13) for an explicit view, memoized:
+    /// `p ∧ (wcyl.V.(SI ⇒ p) ∨ ¬SI)`.
+    #[must_use]
+    pub fn knows_view(&self, view: VarSet, p: &Predicate) -> Predicate {
+        let key = (view, p.clone());
+        if let Some(hit) = self.memo.lock().expect("knowledge memo poisoned").get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            kpt_obs::counter!("knowledge.cache.hits").incr();
+            return hit.clone();
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        kpt_obs::counter!("knowledge.cache.misses").incr();
         let order = self.sweep_order(view);
         let mut cylinder = self.si.implies(p);
         for &v in order.iter() {
@@ -176,54 +184,18 @@ impl KnowledgeContext {
         }
         cylinder.or_assign(&self.not_si);
         cylinder.and_assign(p);
-        cylinder
-    }
-
-    /// Record `n` memo hits on both the context's own tally and the global
-    /// `knowledge.cache.hits` metric.
-    fn record_hits(&self, n: u64) {
-        self.hits.fetch_add(n, Ordering::Relaxed);
-        kpt_obs::counter!("knowledge.cache.hits").add(n);
-    }
-
-    /// Record `n` memo misses (context tally + global metric).
-    fn record_misses(&self, n: u64) {
-        self.misses.fetch_add(n, Ordering::Relaxed);
-        kpt_obs::counter!("knowledge.cache.misses").add(n);
-    }
-
-    /// Insert into the memo, clearing it first when the cap is reached.
-    fn insert_memo(
-        &self,
-        memo: &mut HashMap<(VarSet, Predicate), Predicate>,
-        key: (VarSet, Predicate),
-        value: Predicate,
-    ) {
+        // Clear-on-full: reaching the cap empties the memo first.
+        let mut memo = self.memo.lock().expect("knowledge memo poisoned");
         if memo.len() >= self.memo_cap.load(Ordering::Relaxed) {
             memo.clear();
             self.evictions.fetch_add(1, Ordering::Relaxed);
             kpt_obs::counter!("knowledge.cache.evictions").incr();
         }
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        memo.insert(key, value);
+        memo.insert(key, cylinder.clone());
         // Resource gauge: the live entry count, refreshed on the only path
         // that changes it upward and reset to zero by clear-on-full above.
         kpt_obs::gauge!("knowledge.cache.entries").set(memo.len() as u64);
-    }
-
-    /// `K p` by eq. (13) for an explicit view, memoized:
-    /// `p ∧ (wcyl.V.(SI ⇒ p) ∨ ¬SI)`.
-    #[must_use]
-    pub fn knows_view(&self, view: VarSet, p: &Predicate) -> Predicate {
-        let key = (view, p.clone());
-        if let Some(hit) = self.memo.lock().expect("knowledge memo poisoned").get(&key) {
-            self.record_hits(1);
-            return hit.clone();
-        }
-        self.record_misses(1);
-        let cylinder = self.compute_knows_view(view, p);
-        let mut memo = self.memo.lock().expect("knowledge memo poisoned");
-        self.insert_memo(&mut memo, key, cylinder.clone());
         cylinder
     }
 
@@ -235,83 +207,14 @@ impl KnowledgeContext {
         Ok(self.knows_view(self.view(process)?, p))
     }
 
-    /// `K p` for a *batch* of views at once, the uncached ones evaluated
-    /// in parallel on the [`pool`] workers (`KPT_THREADS` / available
-    /// cores). Results are returned in input order and memoized exactly
-    /// as [`KnowledgeContext::knows_view`] would — every entry point
-    /// (guard compilation, `E_G`, the `C_G` fixpoint) shares the memo the
-    /// batch fills, and the output is bit-identical to the serial loop.
-    #[must_use]
-    pub fn knows_batch(&self, views: &[VarSet], p: &Predicate) -> Vec<Predicate> {
-        self.knows_batch_with(pool::num_threads(), views, p)
-    }
-
-    /// [`KnowledgeContext::knows_batch`] with an explicit worker count
-    /// (differential tests force the multi-threaded path with it).
-    #[must_use]
-    pub fn knows_batch_with(
-        &self,
-        threads: usize,
-        views: &[VarSet],
-        p: &Predicate,
-    ) -> Vec<Predicate> {
-        // Partition into memo hits and distinct missing views.
-        let mut missing: Vec<VarSet> = Vec::new();
-        {
-            let memo = self.memo.lock().expect("knowledge memo poisoned");
-            for &view in views {
-                if memo.contains_key(&(view, p.clone())) {
-                    self.record_hits(1);
-                } else if !missing.contains(&view) {
-                    self.record_misses(1);
-                    missing.push(view);
-                } else {
-                    self.record_hits(1);
-                }
-            }
-        }
-        // Interning sweep orders up front keeps workers off that lock.
-        for &view in &missing {
-            self.sweep_order(view);
-        }
-        let computed: Vec<Predicate> =
-            pool::parallel_map_with(threads, &missing, |&view| self.compute_knows_view(view, p));
-        {
-            let mut memo = self.memo.lock().expect("knowledge memo poisoned");
-            for (view, k) in missing.iter().zip(&computed) {
-                self.insert_memo(&mut memo, (*view, p.clone()), k.clone());
-            }
-        }
-        // Answer from the freshly computed batch, falling back to the memo
-        // for views that were hits up front. (A capped memo may have just
-        // evicted the early hits; recompute those rather than panic.)
-        views
-            .iter()
-            .map(|view| {
-                if let Some(i) = missing.iter().position(|m| m == view) {
-                    return computed[i].clone();
-                }
-                let cached = {
-                    let memo = self.memo.lock().expect("knowledge memo poisoned");
-                    memo.get(&(*view, p.clone())).cloned()
-                };
-                cached.unwrap_or_else(|| self.compute_knows_view(*view, p))
-            })
-            .collect()
-    }
-
-    /// `K_i p` for **every declared view** in parallel: one
-    /// `(process name, K_i p)` pair per declared process, in declaration
-    /// order. This is the batch entry point guard compilation and the
-    /// group-knowledge fixpoints lean on.
+    /// `K_i p` for every declared view: one `(process name, K_i p)` pair
+    /// per declared process, in declaration order, each answered through
+    /// the memo of [`KnowledgeContext::knows_view`].
     #[must_use]
     pub fn knows_all(&self, p: &Predicate) -> Vec<(String, Predicate)> {
-        let views: Vec<VarSet> = self.views.iter().map(|(_, v)| *v).collect();
-        let ks = self.knows_batch(&views, p);
         self.views
             .iter()
-            .zip(ks)
-            .map(|((name, _), k)| (name.clone(), k))
+            .map(|(name, view)| (name.clone(), self.knows_view(*view, p)))
             .collect()
     }
 
@@ -488,25 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn capped_batch_still_answers_every_view() {
-        // With a tiny cap, the batch path may evict its own early hits
-        // before the final gather; results must still be correct.
-        let s = space();
-        let si = Predicate::from_fn(&s, |i| i % 3 != 0);
-        let ctx = KnowledgeContext::new(&s, views(&s), si.clone()).unwrap();
-        ctx.set_memo_cap(1);
-        let view_list: Vec<VarSet> = views(&s).iter().map(|(_, v)| *v).collect();
-        let p = Predicate::from_fn(&s, |i| i % 2 == 0);
-        let reference = KnowledgeContext::new(&s, views(&s), si).unwrap();
-        let want: Vec<Predicate> = view_list
-            .iter()
-            .map(|&v| reference.knows_view(v, &p))
-            .collect();
-        assert_eq!(ctx.knows_batch_with(2, &view_list, &p), want);
-        assert!(ctx.cache_stats().evictions >= 1);
-    }
-
-    #[test]
     fn sweep_order_is_complement_sorted_by_domain() {
         let s = space();
         let ctx = KnowledgeContext::new(&s, views(&s), Predicate::tt(&s)).unwrap();
@@ -527,49 +411,26 @@ mod tests {
     }
 
     #[test]
-    fn knows_all_matches_per_view_queries_for_any_thread_count() {
+    fn knows_all_matches_per_view_queries() {
         let s = space();
         let si = Predicate::from_fn(&s, |i| i % 3 != 0);
         let p = Predicate::from_fn(&s, |i| i % 2 == 0);
-        // Serial reference on its own context.
-        let serial_ctx = KnowledgeContext::new(&s, views(&s), si.clone()).unwrap();
+        // Reference on its own context.
+        let reference = KnowledgeContext::new(&s, views(&s), si.clone()).unwrap();
         let expect: Vec<(String, Predicate)> = views(&s)
             .into_iter()
             .map(|(name, view)| {
-                let k = serial_ctx.knows_view(view, &p);
+                let k = reference.knows_view(view, &p);
                 (name, k)
             })
             .collect();
-        for threads in [1, 2, 4] {
-            let ctx = KnowledgeContext::new(&s, views(&s), si.clone()).unwrap();
-            let view_list: Vec<VarSet> = views(&s).iter().map(|(_, v)| *v).collect();
-            let batch = ctx.knows_batch_with(threads, &view_list, &p);
-            for (((name, want), got), view) in expect.iter().zip(&batch).zip(&view_list) {
-                assert_eq!(want, got, "process {name}, threads {threads}");
-                // And the batch filled the memo: a follow-up serial query
-                // is a pure hit.
-                let (hits_before, misses) = ctx.cache_counters();
-                assert_eq!(&ctx.knows_view(*view, &p), want);
-                assert_eq!(ctx.cache_counters(), (hits_before + 1, misses));
-            }
-        }
-        // The convenience form pairs names with views in declaration order.
         let ctx = KnowledgeContext::new(&s, views(&s), si).unwrap();
         assert_eq!(ctx.knows_all(&p), expect);
-    }
-
-    #[test]
-    fn knows_batch_deduplicates_repeated_views() {
-        let s = space();
-        let ctx = KnowledgeContext::new(&s, views(&s), Predicate::tt(&s)).unwrap();
-        let v = s.var_set(["a"]).unwrap();
-        let p = Predicate::from_fn(&s, |i| i % 5 == 0);
-        let out = ctx.knows_batch(&[v, v, v], &p);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0], out[1]);
-        assert_eq!(out[1], out[2]);
-        // One computation, two in-batch hits.
-        assert_eq!(ctx.cache_counters(), (2, 1));
-        assert_eq!(ctx.cached_queries(), 1);
+        // knows_all filled the memo: a follow-up query is a pure hit.
+        for (_, view) in views(&s) {
+            let (hits, misses) = ctx.cache_counters();
+            let _ = ctx.knows_view(view, &p);
+            assert_eq!(ctx.cache_counters(), (hits + 1, misses));
+        }
     }
 }

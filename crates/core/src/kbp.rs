@@ -30,7 +30,6 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use kpt_state::{Predicate, VarSet};
-use kpt_testkit::pool;
 use kpt_transformers::iterate_to_fixpoint;
 pub use kpt_transformers::IterativeOutcome;
 use kpt_unity::{CompiledProgram, Program};
@@ -67,13 +66,6 @@ impl SiCache {
         self.map.insert(candidate, si);
     }
 }
-
-/// Smallest candidate count worth fanning out over the pool. Each
-/// candidate costs a few microseconds (compile + frontier SI on the small
-/// spaces exhaustive search is for), so below a few thousand candidates
-/// thread spawn and merge overhead eats the win — measured flat at 256
-/// candidates on the kernels bench.
-const PAR_MIN_CANDIDATES: u64 = 4096;
 
 /// A knowledge-based protocol: a UNITY [`Program`] whose guards may mention
 /// knowledge, together with the eq. (25) solution machinery.
@@ -212,24 +204,14 @@ impl Kbp {
     }
 
     /// Complete enumeration of all solutions, over candidates
-    /// `x = init ∪ S` for every subset `S` of the non-init states, fanned
-    /// out across the [`pool`] workers (`KPT_THREADS` / available cores).
-    ///
-    /// Each worker evaluates its candidates thread-locally (no lock on the
-    /// shared memo); verified solutions and a capacity-bounded sample of
-    /// `candidate ↦ SI` pairs are merged at the end, so the result — and
-    /// the enumeration order of [`SolutionSet::solutions`] — is identical
-    /// to [`Kbp::solve_exhaustive_serial`] for every thread count.
+    /// `x = init ∪ S` for every subset `S` of the non-init states, in mask
+    /// order. Each candidate is checked by [`Kbp::is_solution`], so the
+    /// search rides (and fills) the shared `candidate ↦ SI` memo.
     ///
     /// # Errors
     /// [`CoreError::SearchTooLarge`] if there are more than
     /// `max_free_states` (or ≥ 64, the mask width) non-init states — the
     /// search is `2^free`; compilation errors otherwise.
-    ///
-    /// Small searches (< [`PAR_MIN_CANDIDATES`] candidates) run serially
-    /// even on multicore machines: at a few microseconds per candidate the
-    /// fan-out's spawn/merge overhead costs more than it saves. Use
-    /// [`Kbp::solve_exhaustive_with`] to force a worker count.
     ///
     /// When an instance is rejected with [`CoreError::SearchTooLarge`],
     /// the symbolic backend is the escape hatch: `kpt_bdd::SymbolicKbp`
@@ -239,34 +221,6 @@ impl Kbp {
     /// enumeration can touch (it searches for *a* fixpoint iteratively
     /// rather than enumerating all of them).
     pub fn solve_exhaustive(&self, max_free_states: u64) -> Result<SolutionSet, CoreError> {
-        let nfree = self.program.init().negate().count();
-        let threads = if nfree < 64 && (1u64 << nfree) < PAR_MIN_CANDIDATES {
-            1
-        } else {
-            pool::num_threads()
-        };
-        self.solve_exhaustive_with(threads, max_free_states)
-    }
-
-    /// [`Kbp::solve_exhaustive`] pinned to one worker: the reference
-    /// enumeration the differential suites compare the parallel path
-    /// against.
-    ///
-    /// # Errors
-    /// As for [`Kbp::solve_exhaustive`].
-    pub fn solve_exhaustive_serial(&self, max_free_states: u64) -> Result<SolutionSet, CoreError> {
-        self.solve_exhaustive_with(1, max_free_states)
-    }
-
-    /// [`Kbp::solve_exhaustive`] with an explicit worker count.
-    ///
-    /// # Errors
-    /// As for [`Kbp::solve_exhaustive`].
-    pub fn solve_exhaustive_with(
-        &self,
-        threads: usize,
-        max_free_states: u64,
-    ) -> Result<SolutionSet, CoreError> {
         let space = self.program.space();
         let init = self.program.init();
         let free: Vec<u64> = init.negate().iter().collect();
@@ -283,12 +237,12 @@ impl Kbp {
         }
         let mut span = kpt_obs::span("solver.exhaustive");
         span.field("free_states", nfree);
-        span.field("threads", threads as u64);
         let total = 1u64
             .checked_shl(nfree as u32)
             .expect("nfree < 64 guarantees the shift is in range");
-        let candidate_at = |mask: u64| {
-            Predicate::from_indices(
+        let mut solutions = Vec::new();
+        for mask in 0..total {
+            let candidate = Predicate::from_indices(
                 space,
                 init.iter().chain(
                     free.iter()
@@ -296,62 +250,11 @@ impl Kbp {
                         .filter(|(i, _)| mask >> i & 1 == 1)
                         .map(|(_, &s)| s),
                 ),
-            )
-        };
-        if threads <= 1 {
-            // Serial reference path, riding (and filling) the shared memo.
-            let mut solutions = Vec::new();
-            for mask in 0..total {
-                let candidate = candidate_at(mask);
-                if self.is_solution(&candidate)? {
-                    solutions.push(candidate);
-                }
-            }
-            record_exhaustive(span, total, solutions.len());
-            return Ok(SolutionSet {
-                solutions,
-                candidates_checked: total,
-            });
-        }
-        // Parallel fan-out: contiguous mask ranges, several per worker so
-        // the pool's stealing can rebalance uneven candidate costs. Each
-        // worker evaluates candidates thread-locally via `compile_at`.
-        let nchunks = ((threads as u64) * 8).min(total).max(1);
-        let chunk = total.div_ceil(nchunks);
-        let ranges: Vec<(u64, u64)> = (0..nchunks)
-            .map(|c| ((c * chunk).min(total), ((c + 1) * chunk).min(total)))
-            .collect();
-        let keep_per_chunk = SI_CACHE_CAP / nchunks as usize;
-        type ChunkOut = (Vec<Predicate>, Vec<(Predicate, Predicate)>);
-        let chunks: Vec<Result<ChunkOut, CoreError>> =
-            pool::parallel_map_with(threads, &ranges, |&(lo, hi)| {
-                let mut solutions = Vec::new();
-                let mut sample = Vec::new();
-                for mask in lo..hi {
-                    let candidate = candidate_at(mask);
-                    let si = self.compile_at(&candidate)?.si().clone();
-                    if si == candidate {
-                        solutions.push(candidate.clone());
-                    }
-                    if sample.len() < keep_per_chunk {
-                        sample.push((candidate, si));
-                    }
-                }
-                Ok((solutions, sample))
-            });
-        // Merge in chunk (= mask) order: solutions concatenate to exactly
-        // the serial enumeration order; sampled SI pairs refill the memo.
-        let mut solutions = Vec::new();
-        let mut cache = self.si_cache.lock().expect("SI cache poisoned");
-        for (chunk, &(lo, hi)) in chunks.into_iter().zip(&ranges) {
-            let (sols, sample) = chunk?;
-            solutions.extend(sols);
-            cache.misses += hi - lo;
-            for (candidate, si) in sample {
-                cache.insert(candidate, si);
+            );
+            if self.is_solution(&candidate)? {
+                solutions.push(candidate);
             }
         }
-        drop(cache);
         record_exhaustive(span, total, solutions.len());
         Ok(SolutionSet {
             solutions,
@@ -670,50 +573,6 @@ mod tests {
                 assert_eq!(limit, 63);
             }
             other => panic!("expected SearchTooLarge, got {other:?}"),
-        }
-    }
-
-    /// The parallel fan-out returns exactly the serial enumeration —
-    /// same solutions in the same order, same candidate count — for any
-    /// worker count (forced well past the machine's core count).
-    #[test]
-    fn parallel_search_matches_serial() {
-        let space = StateSpace::builder()
-            .bool_var("a")
-            .unwrap()
-            .bool_var("b")
-            .unwrap()
-            .nat_var("n", 2)
-            .unwrap()
-            .build()
-            .unwrap();
-        let program = Program::builder("par", &space)
-            .init_str("~a /\\ ~b")
-            .unwrap()
-            .process("P", ["a"])
-            .unwrap()
-            .statement(
-                Statement::new("s")
-                    .guard_str("K{P}(a) \\/ ~a")
-                    .unwrap()
-                    .assign_str("a", "1")
-                    .unwrap(),
-            )
-            .statement(
-                Statement::new("t")
-                    .guard_str("a")
-                    .unwrap()
-                    .assign_str("b", "1")
-                    .unwrap(),
-            )
-            .build()
-            .unwrap();
-        let kbp = Kbp::new(program);
-        let serial = kbp.solve_exhaustive_serial(16).unwrap();
-        for threads in [2, 3, 8] {
-            let par = kbp.solve_exhaustive_with(threads, 16).unwrap();
-            assert_eq!(par.solutions(), serial.solutions(), "threads {threads}");
-            assert_eq!(par.candidates_checked(), serial.candidates_checked());
         }
     }
 

@@ -122,30 +122,23 @@ impl KnowledgeOperator {
         self.ctx.knows_view(view, p)
     }
 
-    /// `K_i p` for every declared view at once, evaluated in parallel on
-    /// the pool workers and memoized in the shared context (see
-    /// [`KnowledgeContext::knows_all`]). Guard compilation and the
+    /// `K_i p` for every declared view, memoized in the shared context
+    /// (see [`KnowledgeContext::knows_all`]). Guard compilation and the
     /// group-knowledge fixpoints are answered from the memo this fills.
     #[must_use]
     pub fn knows_all(&self, p: &Predicate) -> Vec<(String, Predicate)> {
         self.ctx.knows_all(p)
     }
 
-    /// Everyone-in-`group` knows: `E_G p = (∀ i ∈ G :: K_i p)`. The
-    /// per-process knowledge queries are evaluated as one parallel batch
-    /// ([`KnowledgeContext::knows_batch`]); repeated applications inside
-    /// the `C_G` fixpoint hit the shared memo.
+    /// Everyone-in-`group` knows: `E_G p = (∀ i ∈ G :: K_i p)`. Repeated
+    /// applications inside the `C_G` fixpoint hit the shared memo.
     ///
     /// # Errors
     /// [`EvalError::UnknownProcess`] for undeclared names.
     pub fn everyone(&self, group: &[&str], p: &Predicate) -> Result<Predicate, EvalError> {
-        let views: Vec<VarSet> = group
-            .iter()
-            .map(|proc| self.view(proc))
-            .collect::<Result<_, _>>()?;
         let mut out = Predicate::tt(self.ctx.space());
-        for k in self.ctx.knows_batch(&views, p) {
-            out.and_assign(&k);
+        for proc in group {
+            out.and_assign(&self.knows(proc, p)?);
         }
         Ok(out)
     }

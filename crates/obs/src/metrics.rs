@@ -1,7 +1,7 @@
 //! The global metrics registry: named atomic counters, gauges, and
 //! histograms.
 //!
-//! Names are `&'static str` in dotted-path form (`"pool.steals"`,
+//! Names are `&'static str` in dotted-path form (`"pool.tasks"`,
 //! `"fixpoint.frontier.rounds"`); the README's metric glossary documents
 //! every name the workspace emits. Handles returned by [`counter`] /
 //! [`gauge`] / [`histogram`] are `&'static` and therefore free to stash in

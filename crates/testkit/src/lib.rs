@@ -14,10 +14,10 @@
 //!   — a criterion-compatible micro-benchmark harness reporting median
 //!   ns/iteration, with JSON output for cross-PR tracking
 //!   (`KPT_BENCH_JSON`).
-//! * [`pool`] — a scoped work-stealing [`pool::parallel_map`] (the
-//!   workspace's `rayon` stand-in), order-preserving and therefore
-//!   bit-identical to the serial map; thread count from `KPT_THREADS` or
-//!   [`std::thread::available_parallelism`].
+//! * [`pool`] — a scoped, order-preserving [`pool::parallel_map`] over one
+//!   shared cursor (registry lint's fan-out) and the persistent
+//!   [`pool::TaskPool`] the server dispatches on; thread count from
+//!   `KPT_THREADS` or [`std::thread::available_parallelism`].
 
 #![warn(missing_docs)]
 

@@ -1,39 +1,29 @@
-//! A minimal in-tree work-stealing thread pool for data-parallel sweeps.
+//! A minimal in-tree thread pool: a scoped [`parallel_map`] for batches of
+//! coarse independent items, and a persistent [`TaskPool`] for services.
 //!
 //! The workspace is deliberately zero-external-dependency, so instead of
-//! `rayon` this module provides the one primitive the hot paths need: a
-//! scoped, deterministic [`parallel_map`] over a slice. Work distribution
-//! is work-stealing over chunked per-worker ranges:
-//!
-//! * the input is split into one contiguous index range per worker;
-//! * each worker pops small chunks from the *front* of its own range
-//!   (plain compare-and-swap on a packed `(start, end)` atom);
-//! * a worker whose range is exhausted steals the *back half* of the
-//!   largest remaining victim range, so stragglers shed load without any
-//!   locks or channels.
-//!
-//! Results are written back by input index, so the output order — and
-//! therefore every fold over it — is **bit-identical to the serial map**
-//! regardless of thread count or steal schedule. Callers that need the
-//! serial behaviour exactly (differential tests, `KPT_THREADS=1`
-//! deployments) get it for free: with one worker the pool never spawns a
-//! thread at all.
+//! `rayon` this module provides the two primitives its callers need.
+//! [`parallel_map`] spawns scoped workers that claim items one at a time
+//! from a single shared atomic cursor, so a slow item never holds up the
+//! rest of the batch. Results are written back by input index, so the
+//! output order — and therefore every fold over it — is **identical to
+//! the serial map** regardless of thread count or claim schedule. With one
+//! worker the map never spawns a thread at all.
 //!
 //! Thread count resolution ([`num_threads`]): the `KPT_THREADS`
 //! environment variable if set to a positive integer, otherwise
 //! [`std::thread::available_parallelism`].
 //!
-//! Besides the scoped [`parallel_map`], this module provides [`TaskPool`]:
-//! a small *persistent* executor for long-running services (kpt-server).
-//! Independent boxed jobs are queued behind a bounded injector and drained
-//! by a fixed set of workers; [`TaskPool::try_spawn`] refuses work once
-//! the queue is full (backpressure the caller turns into a typed `busy`
-//! error), and [`TaskPool::shutdown`] drains every queued job before the
-//! workers exit (graceful drain). The current injector depth is published
-//! on the same `pool.queue.depth` gauge the stealing map samples.
+//! [`TaskPool`] is a small *persistent* executor for long-running services
+//! (kpt-server). Independent boxed jobs are queued behind a bounded
+//! injector and drained by a fixed set of workers; [`TaskPool::try_spawn`]
+//! refuses work once the queue is full (backpressure the caller turns into
+//! a typed `busy` error), and [`TaskPool::shutdown`] drains every queued
+//! job before the workers exit (graceful drain). The current injector
+//! depth is published on the `pool.queue.depth` gauge.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Number of worker threads [`parallel_map`] uses: `KPT_THREADS` if set to
@@ -52,72 +42,11 @@ pub fn num_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Granularity of self-scheduling: a worker claims up to this many items
-/// from its own queue per pop. Small enough to balance skewed workloads,
-/// large enough to amortise the CAS.
-const CHUNK: u64 = 8;
-
-/// One worker's remaining range, packed `start << 32 | end` so both bounds
-/// move under a single compare-and-swap.
-struct Range(AtomicU64);
-
-impl Range {
-    fn new(start: u64, end: u64) -> Self {
-        Range(AtomicU64::new(start << 32 | end))
-    }
-
-    fn load(&self) -> (u64, u64) {
-        let v = self.0.load(Ordering::Acquire);
-        (v >> 32, v & 0xffff_ffff)
-    }
-
-    /// Claim up to `CHUNK` items from the front of this range.
-    fn pop_front(&self) -> Option<(u64, u64)> {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let (start, end) = (cur >> 32, cur & 0xffff_ffff);
-            if start >= end {
-                return None;
-            }
-            let take = CHUNK.min(end - start);
-            let next = (start + take) << 32 | end;
-            match self
-                .0
-                .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return Some((start, start + take)),
-                Err(v) => cur = v,
-            }
-        }
-    }
-
-    /// Steal the back half of this range (at least one item), for thieves.
-    fn steal_back(&self) -> Option<(u64, u64)> {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let (start, end) = (cur >> 32, cur & 0xffff_ffff);
-            if start >= end {
-                return None;
-            }
-            let keep = (end - start) / 2;
-            let mid = start + keep;
-            let next = start << 32 | mid;
-            match self
-                .0
-                .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return Some((mid, end)),
-                Err(v) => cur = v,
-            }
-        }
-    }
-}
-
 /// Map `f` over `items` on [`num_threads`] workers, preserving input order.
 ///
 /// Equivalent to `items.iter().map(f).collect()` — same results in the
-/// same order — but fanned out across a scoped work-stealing pool. `f`
-/// runs at most once per item. Panics in `f` propagate.
+/// same order — but fanned out across scoped workers. `f` runs exactly
+/// once per item. Panics in `f` propagate.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -127,13 +56,12 @@ where
     parallel_map_with(num_threads(), items, f)
 }
 
-/// [`parallel_map`] with an explicit worker count (used by differential
-/// tests to force the multi-threaded path regardless of the machine, and
-/// by callers that must stay serial regardless of `KPT_THREADS`).
+/// [`parallel_map`] with an explicit worker count (used by tests to force
+/// the multi-threaded path regardless of the machine, and by callers that
+/// must stay serial regardless of `KPT_THREADS`).
 ///
 /// # Panics
-/// Panics if `threads == 0` or `items.len() >= 2^32` (ranges are packed
-/// into 32-bit halves).
+/// Panics if `threads == 0`.
 pub fn parallel_map_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -142,9 +70,8 @@ where
 {
     assert!(threads >= 1, "thread count must be positive");
     let n = items.len();
-    assert!((n as u64) < u64::from(u32::MAX), "input too large for pool");
-    let workers = threads.min(n.max(1));
-    if workers <= 1 || n <= 1 {
+    let workers = threads.min(n);
+    if workers <= 1 {
         kpt_obs::counter!("pool.serial_maps").incr();
         kpt_obs::counter!("pool.tasks").add(n as u64);
         return items.iter().map(f).collect();
@@ -152,78 +79,45 @@ where
 
     let span = kpt_obs::span("pool.map");
     let traced = span.is_live();
-
-    // One contiguous range per worker; stealing rebalances skew. The
-    // workers gauge tracks the fan-out of the most recent parallel map;
-    // the queue-depth gauge below is a high-water mark of how much work
-    // thieves saw still queued on their victims.
+    // The workers gauge tracks the fan-out of the most recent parallel map.
     kpt_obs::gauge!("pool.workers").set(workers as u64);
-    let per = (n as u64).div_ceil(workers as u64);
-    let queues: Vec<Range> = (0..workers as u64)
-        .map(|w| Range::new((w * per).min(n as u64), ((w + 1) * per).min(n as u64)))
-        .collect();
-
+    let next = AtomicUsize::new(0);
     let mut out: Vec<Option<R>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
     let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(workers);
 
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let queues = &queues;
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let mut local: Vec<(u64, R)> = Vec::new();
-                let mut stats = WorkerStats::default();
-                let run = |lo: u64, hi: u64, local: &mut Vec<(u64, R)>, stats: &mut WorkerStats| {
-                    // Per-chunk timing only when tracing: two clock reads
-                    // per CHUNK items is noise in a trace but not in the
-                    // always-on path.
-                    let t0 = traced.then(std::time::Instant::now);
-                    for i in lo..hi {
-                        local.push((i, f(&items[i as usize])));
-                    }
-                    stats.tasks += hi - lo;
-                    if let Some(t0) = t0 {
-                        stats.busy_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                };
-                // Drain our own queue, then steal from the fullest victim.
-                loop {
-                    while let Some((lo, hi)) = queues[w].pop_front() {
-                        run(lo, hi, &mut local, &mut stats);
-                    }
-                    let victim = (0..queues.len())
-                        .filter(|&v| v != w)
-                        .map(|v| {
-                            let (s, e) = queues[v].load();
-                            (v, e.saturating_sub(s))
-                        })
-                        .max_by_key(|&(_, len)| len);
-                    match victim {
-                        Some((v, len)) if len > 0 => {
-                            // Steal scans are the idle path, so the depth
-                            // sample costs nothing on busy workers.
-                            kpt_obs::gauge!("pool.queue.depth").maximize(len);
-                            if let Some((lo, hi)) = queues[v].steal_back() {
-                                stats.steals += 1;
-                                run(lo, hi, &mut local, &mut stats);
-                            } else {
-                                // Raced: the victim drained between the load
-                                // and the steal.
-                                stats.steal_failures += 1;
-                            }
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local: Vec<(usize, R)> = Vec::new();
+                    let mut busy_ns = 0;
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
                         }
-                        _ => break,
+                        // Per-item timing only when tracing: a clock read
+                        // per item is noise in a trace but not in the
+                        // always-on path.
+                        let t0 = traced.then(std::time::Instant::now);
+                        local.push((i, f(&items[i])));
+                        if let Some(t0) = t0 {
+                            busy_ns += t0.elapsed().as_nanos() as u64;
+                        }
                     }
-                }
-                (local, stats)
-            }));
-        }
+                    let stats = WorkerStats {
+                        tasks: local.len() as u64,
+                        busy_ns,
+                    };
+                    (local, stats)
+                })
+            })
+            .collect();
         for h in handles {
             let (local, stats) = h.join().expect("pool worker panicked");
             for (i, r) in local {
-                out[i as usize] = Some(r);
+                out[i] = Some(r);
             }
             worker_stats.push(stats);
         }
@@ -237,11 +131,9 @@ where
 }
 
 /// Per-worker tallies from one `parallel_map` run.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug)]
 struct WorkerStats {
     tasks: u64,
-    steals: u64,
-    steal_failures: u64,
     /// Nanoseconds spent inside `f` (0 unless the run was traced).
     busy_ns: u64,
 }
@@ -250,30 +142,16 @@ struct WorkerStats {
 /// and, when traced, close the `pool.map` span with a per-worker breakdown.
 fn record_pool_map(mut span: kpt_obs::Span, items: usize, workers: usize, stats: &[WorkerStats]) {
     kpt_obs::counter!("pool.maps").incr();
-    let tasks: u64 = stats.iter().map(|s| s.tasks).sum();
-    let steals: u64 = stats.iter().map(|s| s.steals).sum();
-    let failures: u64 = stats.iter().map(|s| s.steal_failures).sum();
-    kpt_obs::counter!("pool.tasks").add(tasks);
-    kpt_obs::counter!("pool.steals").add(steals);
-    kpt_obs::counter!("pool.steal_failures").add(failures);
+    kpt_obs::counter!("pool.tasks").add(stats.iter().map(|s| s.tasks).sum());
     if span.is_live() {
         let per_worker = stats
             .iter()
             .enumerate()
-            .map(|(w, s)| {
-                format!(
-                    "w{w}: tasks={} steals={} busy_us={}",
-                    s.tasks,
-                    s.steals,
-                    s.busy_ns / 1_000
-                )
-            })
+            .map(|(w, s)| format!("w{w}: tasks={} busy_us={}", s.tasks, s.busy_ns / 1_000))
             .collect::<Vec<_>>()
             .join("; ");
         span.field("items", items as u64);
         span.field("workers", workers as u64);
-        span.field("steals", steals);
-        span.field("steal_failures", failures);
         span.field(
             "busy_us_total",
             stats.iter().map(|s| s.busy_ns).sum::<u64>() / 1_000,
@@ -459,7 +337,6 @@ fn worker_loop(shared: &TaskPoolShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn matches_serial_map_for_every_thread_count() {
@@ -488,13 +365,12 @@ mod tests {
     }
 
     #[test]
-    fn skewed_workloads_are_stolen() {
-        // The heavy items all land in worker 0's initial range; the run
-        // still completes and preserves order.
+    fn skewed_workloads_keep_input_order() {
+        // The heavy items all sit at the front; the other workers take
+        // the light tail from the shared cursor and order is preserved.
         let items: Vec<u64> = (0..64).collect();
         let out = parallel_map_with(4, &items, |&i| {
             if i < 16 {
-                // Spin a little to make the first range slow.
                 let mut acc = i;
                 for k in 0..50_000u64 {
                     acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);

@@ -146,11 +146,6 @@ pub fn strongest_invariant(sp: &dyn Transformer, init: &Predicate) -> Predicate 
 /// work is `O(|statements| · |reachable|)` successor probes (each state is
 /// on the frontier exactly once) versus the Kleene chain's
 /// `O(rounds · |statements| · |reachable|)`.
-///
-/// The per-statement images within one round are independent, so on large
-/// rounds [`crate::sp_union`] sweeps them in parallel across the pool
-/// workers (`KPT_THREADS` / available cores) and OR-merges — bit-identical
-/// to the serial round for every thread count.
 #[must_use]
 pub fn sst_frontier(transitions: &[DetTransition], p: &Predicate) -> Predicate {
     sst_frontier_with_stats(transitions, p).0

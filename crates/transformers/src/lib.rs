@@ -55,4 +55,4 @@ pub use junctivity::{
     check_universally_conjunctive, Counterexample, Strategy, Verdict, EXHAUSTIVE_STATE_LIMIT,
 };
 pub use transformer::{Compose, FnTransformer, Transformer};
-pub use transition::{sp_union, sp_union_with, wp_inter, wp_inter_with, DetTransition};
+pub use transition::{sp_union, wp_inter, DetTransition};

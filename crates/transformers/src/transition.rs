@@ -178,70 +178,18 @@ impl DetTransition {
     }
 }
 
-/// Minimum `|statements| · |p|` scatter work before the per-statement
-/// sweeps of [`sp_union`]/[`wp_inter`] fan out across the pool (below it,
-/// thread spawn overhead dominates).
-const PAR_SWEEP_THRESHOLD: u64 = 1 << 14;
-
-/// Worker count for a program-level sweep: the pool's count when the
-/// per-round work is large enough and there is more than one statement to
-/// sweep, else serial.
-fn sweep_threads(transitions: &[DetTransition], p: &Predicate) -> usize {
-    if transitions.len() >= 2
-        && transitions.len() as u64 * p.space().num_states() >= PAR_SWEEP_THRESHOLD
-    {
-        kpt_testkit::pool::num_threads()
-    } else {
-        1
-    }
-}
-
 /// The program-level strongest postcondition of eq. (26): the union of the
-/// statement images, `SP.p = (∃ s :: sp.s.p)`.
-///
-/// The per-statement images are independent, so on large rounds they are
-/// swept in parallel across the pool workers (`KPT_THREADS` / available
-/// cores) and OR-merged; bitwise OR is associative and commutative, so the
-/// result is bit-identical to the serial sweep. This is the inner loop of
-/// the `SI`/`sst` frontier fixpoints.
+/// statement images, `SP.p = (∃ s :: sp.s.p)`, scattered into one word
+/// buffer. This is the inner loop of the `SI`/`sst` frontier fixpoints.
 ///
 /// Returns `false` for an empty statement list (no transitions at all).
 #[must_use]
 pub fn sp_union(transitions: &[DetTransition], p: &Predicate) -> Predicate {
-    sp_union_with(sweep_threads(transitions, p), transitions, p)
-}
-
-/// [`sp_union`] with an explicit worker count (`1` is the serial
-/// reference sweep the differential suites compare against).
-#[must_use]
-pub fn sp_union_with(threads: usize, transitions: &[DetTransition], p: &Predicate) -> Predicate {
-    if threads <= 1 || transitions.len() <= 1 {
-        let mut words = vec![0u64; p.as_words().len()];
-        for t in transitions {
-            for s in p.iter() {
-                let d = u64::from(t.succ[s as usize]);
-                words[(d / 64) as usize] |= 1 << (d % 64);
-            }
-        }
-        return Predicate::from_raw_words(p.space(), words);
-    }
-    // One image buffer per statement chunk, OR-merged at the end.
-    let per = transitions.len().div_ceil(threads);
-    let chunks: Vec<&[DetTransition]> = transitions.chunks(per).collect();
-    let buffers = kpt_testkit::pool::parallel_map_with(threads, &chunks, |chunk| {
-        let mut words = vec![0u64; p.as_words().len()];
-        for t in *chunk {
-            for s in p.iter() {
-                let d = u64::from(t.succ[s as usize]);
-                words[(d / 64) as usize] |= 1 << (d % 64);
-            }
-        }
-        words
-    });
     let mut words = vec![0u64; p.as_words().len()];
-    for buf in buffers {
-        for (w, b) in words.iter_mut().zip(buf) {
-            *w |= b;
+    for t in transitions {
+        for s in p.iter() {
+            let d = u64::from(t.succ[s as usize]);
+            words[(d / 64) as usize] |= 1 << (d % 64);
         }
     }
     Predicate::from_raw_words(p.space(), words)
@@ -249,27 +197,12 @@ pub fn sp_union_with(threads: usize, transitions: &[DetTransition], p: &Predicat
 
 /// The program-level conjunction of statement `wp`s: the weakest predicate
 /// guaranteeing that *every* statement leads into `p` (used by the `unless`
-/// proof rule (27)). Per-statement preimages are independent and are swept
-/// in parallel on large rounds, AND-merged (associative/commutative, so
-/// bit-identical to the serial sweep).
+/// proof rule (27)).
 #[must_use]
 pub fn wp_inter(transitions: &[DetTransition], p: &Predicate) -> Predicate {
-    wp_inter_with(sweep_threads(transitions, p), transitions, p)
-}
-
-/// [`wp_inter`] with an explicit worker count (`1` is the serial
-/// reference sweep the differential suites compare against).
-#[must_use]
-pub fn wp_inter_with(threads: usize, transitions: &[DetTransition], p: &Predicate) -> Predicate {
     let mut out = Predicate::tt(p.space());
-    if threads <= 1 || transitions.len() <= 1 {
-        for t in transitions {
-            out.and_assign(&t.wp(p));
-        }
-        return out;
-    }
-    for wp in kpt_testkit::pool::parallel_map_with(threads, transitions, |t| t.wp(p)) {
-        out.and_assign(&wp);
+    for t in transitions {
+        out.and_assign(&t.wp(p));
     }
     out
 }
@@ -369,28 +302,6 @@ mod tests {
         // Empty program: SP = false, wp_inter = true.
         assert!(sp_union(&[], &p).is_false());
         assert!(wp_inter(&[], &p).everywhere());
-    }
-
-    #[test]
-    fn parallel_sweeps_match_serial_for_any_thread_count() {
-        let s = StateSpace::builder()
-            .nat_var("i", 512)
-            .unwrap()
-            .build()
-            .unwrap();
-        let ts: Vec<DetTransition> = (1..6u64)
-            .map(|k| DetTransition::from_fn(&s, move |i| (i + k) % 512))
-            .collect();
-        let p = Predicate::from_fn(&s, |i| i % 3 == 0);
-        let serial_sp = sp_union_with(1, &ts, &p);
-        let serial_wp = wp_inter_with(1, &ts, &p);
-        for threads in [2, 3, 8] {
-            assert_eq!(sp_union_with(threads, &ts, &p), serial_sp, "sp x{threads}");
-            assert_eq!(wp_inter_with(threads, &ts, &p), serial_wp, "wp x{threads}");
-        }
-        // The adaptive entry points agree as well (whatever they choose).
-        assert_eq!(sp_union(&ts, &p), serial_sp);
-        assert_eq!(wp_inter(&ts, &p), serial_wp);
     }
 
     #[test]

@@ -58,9 +58,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         explain_property(&toggle, "~x", &Property::Invariant(not_x))
     );
 
-    // -- Batch knowledge on the pool (forced to 2 workers so the trace
-    // shows a pool.map span even on a single-core machine) ----------------
-    println!("\n== batch knowledge K_i p, fanned over the pool ==");
+    // -- K_i p for every declared view, memoized in one context ----------
+    println!("\n== knowledge K_i p for every process ==");
     let kspace = StateSpace::builder()
         .nat_var("a", 4)?
         .nat_var("b", 4)?
@@ -81,9 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )
     .unwrap();
     let p = Predicate::from_fn(&kspace, |s| s % 3 == 0);
-    let view_sets: Vec<VarSet> = ctx.views().iter().map(|(_, v)| *v).collect();
-    let batch = ctx.knows_batch_with(2, &view_sets, &p);
-    for ((name, _), k) in ctx.views().iter().zip(&batch) {
+    for (name, k) in ctx.knows_all(&p) {
         println!(
             "  K{{{name}}} p holds in {} of {} states",
             k.count(),
@@ -91,6 +88,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     drop(ctx); // emits the cache.knowledge summary event
+
+    // -- Registry lint on the pool (forced to 2 workers so the trace shows
+    // a pool.map span even on a single-core machine) ----------------------
+    println!("\n== registry lint, fanned over the pool ==");
+    let cases = knowledge_pt::lint::registry();
+    let reports =
+        knowledge_pt::lint::lint_registry_with_threads(2, &cases, &LintOptions::default());
+    for (case, report) in cases.iter().zip(&reports) {
+        println!(
+            "  {:<26} {} diagnostic(s)",
+            case.name,
+            report.diagnostics.len()
+        );
+    }
 
     // -- §6: sequence transmission, safety derivation replayed ------------
     println!("\n== §6 sequence transmission (|A|=2, |x|=2): safety replay ==");
