@@ -1,6 +1,7 @@
 //! Scenario-zoo report: wall-time of the textual frontend (parse +
 //! elaborate) and of eq. (25) solving over every zoo scenario, with the
-//! muddy-children template instantiated at n = 3..6. Writes
+//! muddy-children template instantiated at n = 3..6, plus one explicit
+//! `Kbp::compile_at(init)` of russian cards. Writes
 //! `BENCH_zoo.json` plus a per-scenario one-shot table on stdout.
 //!
 //! Usage: `cargo run --release -p kpt-bench --bin zoo_report`
@@ -79,6 +80,20 @@ fn main() {
                 b.iter(|| load_kpt(src).expect("parse"))
             });
         }
+    }
+    {
+        // One explicit compile of the largest scenario at its init: every
+        // statement's guard evaluated and its update run on the enabled
+        // states only (the allocation `solve_large`'s peak RSS follows).
+        let (_, _, kbp) = loaded
+            .iter()
+            .find(|(label, _, _)| label == "russian_cards")
+            .expect("russian cards is a zoo scenario");
+        let init = kbp.program().init().clone();
+        let mut group = c.benchmark_group("zoo_compile");
+        group.bench_function("compile_russian_cards", |b| {
+            b.iter(|| kbp.compile_at(&init).expect("compile at init"))
+        });
     }
     {
         // Symbolic eq. (25) solving from the textual source's program.

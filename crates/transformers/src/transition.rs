@@ -6,31 +6,31 @@
 //! its weakest precondition `wp` the preimage; since statements always
 //! terminate, `wp = wlp` (§5 of the paper).
 //!
+//! A statement whose guard is false "has no effect" (§5), so a transition
+//! stores only the states it *moves*, with their targets; every other state
+//! is a fixed point. Each kernel splits off that identity part with one
+//! word-wise operation and does per-state work only on the moved states.
+//!
 //! The whole-program `SP` of eq. (26),
 //! `SP.p ≡ (∃ s : s a statement : sp.s.p)`, is provided by [`sp_union`].
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use kpt_state::{Predicate, StateSpace};
 
 /// A total, deterministic transition function on a finite state space,
-/// stored as a dense successor table, plus a lazily-built predecessor
-/// adjacency in compressed-sparse-row form (used to make `wp` of a sparse
-/// predicate a gather over only the relevant edges).
+/// stored as the set of states it moves plus their targets.
+///
+/// `moved` holds the states whose successor differs from the state;
+/// `targets` lists their successors in state order; `rank[w]` counts the
+/// moved states in the words before word `w`, so the target of a moved
+/// state is one popcount away. Memory is about `n/8 + n/16 + 4·|moved|`
+/// bytes for `n` states.
 #[derive(Debug, Clone)]
 pub struct DetTransition {
-    space: Arc<StateSpace>,
-    succ: Box<[u32]>,
-    preds: OnceLock<PredCsr>,
-}
-
-/// Predecessor lists of every state, CSR-packed: the predecessors of `t`
-/// are `data[offsets[t] .. offsets[t + 1]]`. Total size is exactly one
-/// entry per state (each state has one successor).
-#[derive(Debug, Clone)]
-struct PredCsr {
-    offsets: Box<[u64]>,
-    data: Box<[u32]>,
+    moved: Predicate,
+    rank: Box<[u32]>,
+    targets: Box<[u32]>,
 }
 
 impl DetTransition {
@@ -38,131 +38,158 @@ impl DetTransition {
     ///
     /// # Panics
     /// Panics if `f` returns an out-of-range successor.
-    pub fn from_fn<F: FnMut(u64) -> u64>(space: &Arc<StateSpace>, mut f: F) -> Self {
-        let n = space.num_states();
-        let mut succ = Vec::with_capacity(n as usize);
-        for s in 0..n {
-            let t = f(s);
-            assert!(t < n, "successor {t} of state {s} out of range");
-            succ.push(t as u32);
-        }
-        DetTransition {
-            space: Arc::clone(space),
-            succ: succ.into_boxed_slice(),
-            preds: OnceLock::new(),
-        }
+    pub fn from_fn<F: FnMut(u64) -> u64>(space: &Arc<StateSpace>, f: F) -> Self {
+        DetTransition::build(space, 0..space.num_states(), 0, f)
+    }
+
+    /// Build the transition of a guarded statement: `f` is evaluated only
+    /// at the states where `guard` holds, and every other state is fixed
+    /// (the statement "has no effect" there). Equal to
+    /// `from_fn(space, |s| if guard.holds(s) { f(s) } else { s })`.
+    ///
+    /// # Panics
+    /// Panics if `guard` is over a differently shaped space, or if `f`
+    /// returns an out-of-range successor.
+    pub fn guarded<F: FnMut(u64) -> u64>(space: &Arc<StateSpace>, guard: &Predicate, f: F) -> Self {
+        assert!(
+            Arc::ptr_eq(guard.space(), space) || guard.space().same_shape(space),
+            "guard from a different state space"
+        );
+        DetTransition::build(space, guard.iter(), guard.count() as usize, f)
     }
 
     /// The identity transition (the semantics of a statement whose guard is
-    /// false: "the execution of the statement has no effect").
+    /// false: "the execution of the statement has no effect"). It moves no
+    /// state and stores no target.
     pub fn identity(space: &Arc<StateSpace>) -> Self {
-        DetTransition::from_fn(space, |s| s)
+        DetTransition::build(space, std::iter::empty(), 0, |s| s)
+    }
+
+    /// Evaluate `f` at `states` (ascending) and keep the states it moves;
+    /// `capacity` bounds how many can move, when known up front.
+    fn build<I, F>(space: &Arc<StateSpace>, states: I, capacity: usize, mut f: F) -> Self
+    where
+        I: IntoIterator<Item = u64>,
+        F: FnMut(u64) -> u64,
+    {
+        let n = space.num_states();
+        let mut moved = Predicate::ff(space);
+        let mut targets = Vec::with_capacity(capacity);
+        for s in states {
+            let t = f(s);
+            assert!(t < n, "successor {t} of state {s} out of range");
+            if t != s {
+                moved.insert(s);
+                targets.push(t as u32);
+            }
+        }
+        let mut seen = 0u64;
+        let rank = moved
+            .as_words()
+            .iter()
+            .map(|w| {
+                let r = seen as u32;
+                seen += u64::from(w.count_ones());
+                r
+            })
+            .collect();
+        DetTransition {
+            moved,
+            rank,
+            targets: targets.into_boxed_slice(),
+        }
     }
 
     /// The state space.
     pub fn space(&self) -> &Arc<StateSpace> {
-        &self.space
+        self.moved.space()
+    }
+
+    /// The states this transition moves: `{ s | step(s) ≠ s }`.
+    pub fn moved(&self) -> &Predicate {
+        &self.moved
     }
 
     /// Successor of a single state.
+    ///
+    /// # Panics
+    /// Panics if `state` is out of range.
     #[inline]
     pub fn step(&self, state: u64) -> u64 {
-        u64::from(self.succ[state as usize])
+        if !self.moved.holds(state) {
+            return state;
+        }
+        let w = (state / 64) as usize;
+        let below = self.moved.as_words()[w] & ((1 << (state % 64)) - 1);
+        u64::from(self.targets[self.rank[w] as usize + below.count_ones() as usize])
     }
 
-    /// The predecessor CSR, built on first use and cached for the lifetime
-    /// of the transition (counting sort over the successor table).
-    fn csr(&self) -> &PredCsr {
-        self.preds.get_or_init(|| {
-            let n = self.succ.len();
-            let mut offsets = vec![0u64; n + 1];
-            for &t in self.succ.iter() {
-                offsets[t as usize + 1] += 1;
+    /// OR the image of `p` into `out`: `p ∧ ¬moved` word-wise, then the
+    /// moved states of `p` scattered through their targets.
+    fn sp_into(&self, p: &[u64], out: &mut [u64]) {
+        let moved = self.moved.as_words();
+        for (w, (&pw, &mw)) in p.iter().zip(moved).enumerate() {
+            if pw == 0 {
+                // Frontier predicates are mostly empty words.
+                continue;
             }
-            for i in 0..n {
-                offsets[i + 1] += offsets[i];
+            out[w] |= pw & !mw;
+            let mut bits = pw & mw;
+            let base = self.rank[w] as usize;
+            while bits != 0 {
+                let below = mw & ((1 << bits.trailing_zeros()) - 1);
+                let t = self.targets[base + below.count_ones() as usize];
+                out[(t / 64) as usize] |= 1 << (t % 64);
+                bits &= bits - 1;
             }
-            let mut cursor = offsets.clone();
-            let mut data = vec![0u32; n];
-            for (s, &t) in self.succ.iter().enumerate() {
-                let c = &mut cursor[t as usize];
-                data[*c as usize] = s as u32;
-                *c += 1;
-            }
-            PredCsr {
-                offsets: offsets.into_boxed_slice(),
-                data: data.into_boxed_slice(),
-            }
-        })
+        }
     }
 
-    /// The states mapping onto `state` (builds the predecessor CSR on first
-    /// call).
-    pub fn predecessors(&self, state: u64) -> &[u32] {
-        let csr = self.csr();
-        let lo = csr.offsets[state as usize] as usize;
-        let hi = csr.offsets[state as usize + 1] as usize;
-        &csr.data[lo..hi]
-    }
-
-    /// Strongest postcondition: the exact image `{ t | ∃s ∈ p : s → t }`.
-    /// Scatter over only the set bits of `p`.
+    /// Strongest postcondition: the exact image `{ t | ∃s ∈ p : s → t }`,
+    /// that is `(p ∧ ¬moved) ∪ targets(p ∧ moved)`.
     #[must_use]
     pub fn sp(&self, p: &Predicate) -> Predicate {
-        let mut words = vec![0u64; p.as_words().len()];
-        for s in p.iter() {
-            let t = u64::from(self.succ[s as usize]);
-            words[(t / 64) as usize] |= 1 << (t % 64);
-        }
-        Predicate::from_raw_words(&self.space, words)
+        sp_union(std::slice::from_ref(self), p)
     }
 
     /// Weakest (liberal) precondition: the exact preimage
-    /// `{ s | step(s) ∈ p }`. Since the transition is total and
-    /// deterministic, `wp = wlp`.
-    ///
-    /// A sparse `p` is answered through the predecessor CSR (work
-    /// proportional to the edges entering `p`); a dense `p` by a direct
-    /// gather over the successor table.
+    /// `{ s | step(s) ∈ q }`, that is
+    /// `(q ∧ ¬moved) ∪ { s ∈ moved | target(s) ∈ q }`. Since the
+    /// transition is total and deterministic, `wp = wlp`.
     #[must_use]
-    pub fn wp(&self, p: &Predicate) -> Predicate {
-        let n = self.space.num_states();
-        if p.count() * 4 <= n {
-            let csr = self.csr();
-            let mut words = vec![0u64; p.as_words().len()];
-            for t in p.iter() {
-                let lo = csr.offsets[t as usize] as usize;
-                let hi = csr.offsets[t as usize + 1] as usize;
-                for &s in &csr.data[lo..hi] {
-                    words[(s / 64) as usize] |= 1 << (s % 64);
+    pub fn wp(&self, q: &Predicate) -> Predicate {
+        let qw = q.as_words();
+        let mut targets = self.targets.iter();
+        let words = qw
+            .iter()
+            .zip(self.moved.as_words())
+            .map(|(&q_w, &mw)| {
+                let mut out = q_w & !mw;
+                let mut bits = mw;
+                while bits != 0 {
+                    // Moved states come in state order, as their targets do.
+                    let t = *targets.next().expect("one target per moved state");
+                    out |= (qw[(t / 64) as usize] >> (t % 64) & 1) << bits.trailing_zeros();
+                    bits &= bits - 1;
                 }
-            }
-            Predicate::from_raw_words(&self.space, words)
-        } else {
-            let mut words = vec![0u64; p.as_words().len()];
-            for (w, chunk) in self.succ.chunks(64).enumerate() {
-                let mut bits = 0u64;
-                for (i, &t) in chunk.iter().enumerate() {
-                    bits |= u64::from(p.holds(u64::from(t))) << i;
-                }
-                words[w] = bits;
-            }
-            Predicate::from_raw_words(&self.space, words)
-        }
+                out
+            })
+            .collect();
+        Predicate::from_raw_words(self.space(), words)
     }
 
     /// Reference implementation of [`DetTransition::sp`] (per-index
     /// insertion), kept for differential testing.
     #[must_use]
     pub fn sp_naive(&self, p: &Predicate) -> Predicate {
-        Predicate::from_indices(&self.space, p.iter().map(|s| self.step(s)))
+        Predicate::from_indices(self.space(), p.iter().map(|s| self.step(s)))
     }
 
     /// Reference implementation of [`DetTransition::wp`] (per-state probe),
     /// kept for differential testing.
     #[must_use]
     pub fn wp_naive(&self, p: &Predicate) -> Predicate {
-        Predicate::from_fn(&self.space, |s| p.holds(self.step(s)))
+        Predicate::from_fn(self.space(), |s| p.holds(self.step(s)))
     }
 
     /// Whether `p` is *stable* under this transition: `[sp.p ⇒ p]`,
@@ -171,10 +198,11 @@ impl DetTransition {
         p.entails(&self.wp(p))
     }
 
-    /// Fixed points of the transition: states `s` with `step(s) = s`.
+    /// Fixed points of the transition: states `s` with `step(s) = s`,
+    /// that is `¬moved`.
     #[must_use]
     pub fn fixed_states(&self) -> Predicate {
-        Predicate::from_fn(&self.space, |s| self.step(s) == s)
+        self.moved.negate()
     }
 }
 
@@ -187,10 +215,7 @@ impl DetTransition {
 pub fn sp_union(transitions: &[DetTransition], p: &Predicate) -> Predicate {
     let mut words = vec![0u64; p.as_words().len()];
     for t in transitions {
-        for s in p.iter() {
-            let d = u64::from(t.succ[s as usize]);
-            words[(d / 64) as usize] |= 1 << (d % 64);
-        }
+        t.sp_into(p.as_words(), &mut words);
     }
     Predicate::from_raw_words(p.space(), words)
 }

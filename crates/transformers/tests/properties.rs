@@ -1,7 +1,8 @@
 //! Property tests for `kpt-transformers`: the sp/wp Galois connection,
 //! `sst` extremality and monotonicity (eqs. 1–4) on random deterministic
-//! transitions, and differential checks of the CSR/scatter kernels against
-//! the naive per-state references.
+//! transitions, and differential checks of the moved-set `sp`/`wp`/`step`
+//! kernels against the naive per-state references and a plain successor
+//! table.
 
 use std::sync::Arc;
 
@@ -151,8 +152,7 @@ fn wp_inter_is_conjunction_of_wps() {
 // ---------------------------------------------------------------------------
 
 /// Spaces big enough to span several 64-bit words, with independently
-/// random per-state membership at varying density (the `wp` dispatch
-/// heuristic switches on density).
+/// random per-state membership at varying density.
 fn random_pred(space: &Arc<StateSpace>, rng: &mut Rng) -> Predicate {
     let density = rng.gen_range(0..101) as f64 / 100.0;
     Predicate::from_indices(
@@ -161,33 +161,70 @@ fn random_pred(space: &Arc<StateSpace>, rng: &mut Rng) -> Predicate {
     )
 }
 
+/// A state count that is not a multiple of 64, so the tail word is partial.
+fn ragged_states(rng: &mut Rng) -> u64 {
+    64 * rng.gen_range(0..6) + rng.gen_range(2..64)
+}
+
+/// A plain successor table in which each state moves with probability
+/// `density` (to a different, random state) and is fixed otherwise.
+fn successor_oracle(n: u64, density: f64, rng: &mut Rng) -> Vec<u64> {
+    (0..n)
+        .map(|s| {
+            if rng.gen_bool(density) {
+                (s + 1 + rng.gen_range(0..n - 1)) % n
+            } else {
+                s
+            }
+        })
+        .collect()
+}
+
 #[test]
 fn sp_wp_kernels_match_naive() {
-    check("sp_wp_kernels_match_naive", 96, |rng| {
-        let n = rng.gen_range(2..400);
-        let sp = space(n);
-        let t = transition(&sp, rng.next_u64());
-        let p = random_pred(&sp, rng);
-        assert_eq!(t.sp(&p), t.sp_naive(&p), "sp on n={n}");
-        assert_eq!(t.wp(&p), t.wp_naive(&p), "wp on n={n}");
+    check("sp_wp_kernels_match_naive", 48, |rng| {
+        for density in [0.0, 1.0 / 64.0, 0.5, 1.0] {
+            let n = ragged_states(rng);
+            let sp = space(n);
+            let succ = successor_oracle(n, density, rng);
+            let t = DetTransition::from_fn(&sp, |s| succ[s as usize]);
+            for s in 0..n {
+                assert_eq!(t.step(s), succ[s as usize], "step({s}) on n={n}");
+            }
+            let fixed = Predicate::from_fn(&sp, |s| succ[s as usize] == s);
+            assert_eq!(t.fixed_states(), fixed, "fixed_states on n={n}");
+            assert_eq!(t.moved(), &fixed.negate());
+            for _ in 0..4 {
+                let p = random_pred(&sp, rng);
+                let image = Predicate::from_indices(&sp, p.iter().map(|s| succ[s as usize]));
+                let preimage = Predicate::from_fn(&sp, |s| p.holds(succ[s as usize]));
+                assert_eq!(t.sp(&p), image, "sp on n={n} density={density}");
+                assert_eq!(t.sp_naive(&p), image);
+                assert_eq!(t.wp(&p), preimage, "wp on n={n} density={density}");
+                assert_eq!(t.wp_naive(&p), preimage);
+            }
+        }
     });
 }
 
 #[test]
-fn predecessors_invert_successors() {
-    check("predecessors_invert_successors", 64, |rng| {
-        let n = rng.gen_range(2..120);
+fn guarded_matches_from_fn() {
+    check("guarded_matches_from_fn", 64, |rng| {
+        let n = ragged_states(rng);
         let sp = space(n);
-        let t = transition(&sp, rng.next_u64());
-        let mut total = 0u64;
-        for target in 0..n {
-            for &s in t.predecessors(target) {
-                assert_eq!(t.step(u64::from(s)), target);
-                total += 1;
-            }
+        let guard = random_pred(&sp, rng);
+        let succ = successor_oracle(n, rng.gen_range(0..101) as f64 / 100.0, rng);
+        let mut calls = Vec::new();
+        let g = DetTransition::guarded(&sp, &guard, |s| {
+            calls.push(s);
+            succ[s as usize]
+        });
+        assert_eq!(calls, guard.iter().collect::<Vec<_>>());
+        let f = DetTransition::from_fn(&sp, |s| if guard.holds(s) { succ[s as usize] } else { s });
+        assert_eq!(g.moved(), f.moved());
+        for s in 0..n {
+            assert_eq!(g.step(s), f.step(s), "step({s}) on n={n}");
         }
-        // CSR partitions the states: every state appears in exactly one list.
-        assert_eq!(total, n);
     });
 }
 

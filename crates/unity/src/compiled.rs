@@ -1,7 +1,9 @@
 //! Compiled UNITY programs: exact transition semantics plus the UNITY
 //! property checkers of §5.
 //!
-//! A [`CompiledProgram`] holds one [`DetTransition`] per statement. The
+//! A [`CompiledProgram`] holds one [`DetTransition`] per statement: the
+//! states its guard enables and its update moves, with their targets; every
+//! other state is fixed (§5: a disabled statement "has no effect"). The
 //! paper's proof rules become *decision procedures* here because the
 //! strongest invariant `SI` is exactly computable (eq. 5):
 //!
@@ -20,7 +22,7 @@ use kpt_transformers::{sp_union, strongest_invariant_frontier, DetTransition};
 use crate::leadsto::{leads_to, LeadsToReport};
 use crate::program::Process;
 
-/// A UNITY program compiled to exact transition tables.
+/// A UNITY program compiled to exact per-statement transitions.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     name: String,

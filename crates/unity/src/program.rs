@@ -5,9 +5,10 @@
 //! simply a subset of variables, per §5), and a non-empty set of
 //! [`Statement`]s. Compiling a program produces a
 //! [`crate::CompiledProgram`] whose statements are exact
-//! [`DetTransition`]s; programs whose guards mention knowledge (§4
-//! knowledge-based protocols) must be compiled through
-//! [`Program::compile_with_knowledge`] with an explicit knowledge semantics.
+//! [`DetTransition`]s, each evaluated only at its guard-enabled states;
+//! programs whose guards mention knowledge (§4 knowledge-based protocols)
+//! must be compiled through [`Program::compile_with_knowledge`] with an
+//! explicit knowledge semantics.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -154,12 +155,19 @@ impl Program {
         &self,
         knowledge: Option<&KnowledgeFn<'_>>,
     ) -> Result<CompiledProgram, UnityError> {
+        let mut span = kpt_obs::span("unity.compile");
         let mut transitions = Vec::with_capacity(self.statements.len());
         let mut names = Vec::with_capacity(self.statements.len());
         for stmt in &self.statements {
             transitions.push(compile_statement(&self.space, stmt, knowledge)?);
             names.push(stmt.name().to_owned());
         }
+        span.field("statements", transitions.len() as u64);
+        if span.is_live() {
+            let moved: u64 = transitions.iter().map(|t| t.moved().count()).sum();
+            span.field("moved_states", moved);
+        }
+        span.finish();
         Ok(CompiledProgram::new(
             self.name.clone(),
             &self.space,
@@ -201,11 +209,12 @@ fn compile_statement(
         compiled.push((var, ce));
     }
 
-    // 3. Evaluate the update at every guard-enabled state.
+    // 3. Evaluate the update at exactly the guard-enabled states; every
+    //    other state is fixed ("the statement has no effect", §5).
     let n = space.num_states();
     let mut out_of_range: Option<UnityError> = None;
-    let trans = DetTransition::from_fn(space, |s| {
-        if !guard.holds(s) || out_of_range.is_some() {
+    let trans = DetTransition::guarded(space, &guard, |s| {
+        if out_of_range.is_some() {
             return s;
         }
         // Simultaneous: all RHS read the pre-state `s`.
@@ -601,6 +610,56 @@ mod tests {
         let i = s.var("i").unwrap();
         let st = Predicate::var_eq(&s, i, 3).witness().unwrap();
         assert_eq!(s.value(c.step(0, st), i), 0);
+    }
+
+    #[test]
+    fn update_fn_never_runs_on_guard_disabled_states() {
+        // §5: a statement whose guard is false has no effect, so its opaque
+        // update must not even be evaluated there.
+        let s = space();
+        let p = Program::builder("guarded", &s)
+            .statement(
+                Statement::new("reset")
+                    .guard_str("done")
+                    .unwrap()
+                    .update_with(|sp, st| {
+                        let done = sp.var("done").unwrap();
+                        assert_eq!(sp.value(st, done), 1, "update ran where ~done");
+                        let i = sp.var("i").unwrap();
+                        sp.with_value(st, i, 0)
+                    }),
+            )
+            .build()
+            .unwrap();
+        let c = p.compile().unwrap();
+        let i = s.var("i").unwrap();
+        let done = s.var("done").unwrap();
+        let st = s.encode(&[2, 0, 0]).unwrap();
+        assert_eq!(c.step(0, st), st);
+        let st = s.with_value(st, done, 1);
+        assert_eq!(s.value(c.step(0, st), i), 0);
+        let enabled = Predicate::var_is_true(&s, done);
+        assert!(c.transitions()[0].moved().entails(&enabled));
+    }
+
+    #[test]
+    fn update_out_of_range_only_where_disabled_compiles() {
+        // `i + 1` leaves the domain only at i = 3, where the guard is false.
+        let s = space();
+        let p = Program::builder("bounded", &s)
+            .statement(
+                Statement::new("inc")
+                    .guard_str("i < 3")
+                    .unwrap()
+                    .assign_str("i", "i + 1")
+                    .unwrap(),
+            )
+            .build()
+            .unwrap();
+        let c = p.compile().unwrap();
+        let i = s.var("i").unwrap();
+        let top = Predicate::var_eq(&s, i, 3);
+        assert!(top.entails(&c.transitions()[0].fixed_states()));
     }
 
     #[test]

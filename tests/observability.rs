@@ -116,6 +116,24 @@ fn traced_run_emits_valid_jsonl_covering_all_subsystems() {
         );
     }
 
+    // unity.compile: every compile above (the exhaustive search compiles
+    // Figure 1 at each candidate) reports its statements and moved states.
+    let compile = events
+        .iter()
+        .find(|e| e.get("kind").and_then(JsonValue::as_str) == Some("unity.compile"))
+        .expect("no unity.compile span in trace");
+    assert!(
+        compile.get("statements").and_then(JsonValue::as_u64) > Some(0),
+        "unity.compile without statements: {compile:?}"
+    );
+    assert!(
+        compile
+            .get("moved_states")
+            .and_then(JsonValue::as_u64)
+            .is_some(),
+        "unity.compile without moved_states: {compile:?}"
+    );
+
     // Span schema round-trip: every closed span carries a process-unique
     // id, and the call tree reconstructs — `bdd.fixpoint` spans nest under
     // the symbolic solver's span.
