@@ -468,7 +468,11 @@ fn translate_statement(
         });
 
     let (parts, bad) = if needs_explicit {
-        translate_update_explicit(space, mgr, stmt, &assigns)?
+        let enabled = match guard {
+            GuardSpec::Static(g) => Some(g),
+            GuardSpec::Knowledge(_) => None,
+        };
+        translate_update_explicit(space, mgr, stmt, &assigns, enabled)?
     } else {
         translate_update_symbolic(space, mgr, &assigns)
     };
@@ -648,14 +652,18 @@ fn translate_update_symbolic(
 }
 
 /// Explicit fallback for opaque `update_with` closures (or oversized
-/// supports): sweep every state once, building pair cubes. Bounded by
-/// [`OPAQUE_ENUM_MAX`]. The result is a single full-support part — there
-/// is no structure to partition along.
+/// supports): sweep the states once, building pair cubes. A static guard
+/// `enabled` limits the sweep to the states it enables, so an update never
+/// runs where its statement has no effect (§5), exactly as in
+/// `kpt_unity`'s compile; a knowledge guard (`None`) sweeps every state.
+/// Bounded by [`OPAQUE_ENUM_MAX`]. The result is a single full-support
+/// part — there is no structure to partition along.
 fn translate_update_explicit(
     space: &Arc<BddSpace>,
     mgr: &mut Manager,
     stmt: &kpt_unity::Statement,
     assigns: &[(VarId, CExpr)],
+    enabled: Option<NodeId>,
 ) -> Result<(PartSet, NodeId), BddError> {
     let st_space = space.space();
     let n = st_space.num_states();
@@ -669,6 +677,9 @@ fn translate_update_explicit(
     let mut bad_states = Vec::new();
     let mut pairs = Vec::with_capacity(n as usize);
     's: for s in 0..n {
+        if enabled.is_some_and(|g| !mgr.eval(g, |l| space.state_bit(s, l / 2))) {
+            continue;
+        }
         let mut next = s;
         for (var, ce) in assigns {
             let v = ce.eval_state(st_space, s);
@@ -818,6 +829,48 @@ mod tests {
             }
         }
         assert!(symbolic.statement_transition("nope", &x).is_err());
+    }
+
+    #[test]
+    fn update_fn_never_runs_on_guard_disabled_states() {
+        // §5: a statement whose guard is false has no effect, so the
+        // explicit translation of its opaque update must not evaluate it
+        // there (kpt-unity's compile has the same test).
+        let space = StateSpace::builder()
+            .nat_var("i", 4)
+            .unwrap()
+            .bool_var("done")
+            .unwrap()
+            .build()
+            .unwrap();
+        let program = Program::builder("guarded", &space)
+            .init_str("i = 2 /\\ ~done")
+            .unwrap()
+            .statement(
+                Statement::new("finish")
+                    .guard_str("i = 2")
+                    .unwrap()
+                    .assign_str("done", "1")
+                    .unwrap(),
+            )
+            .statement(
+                Statement::new("reset")
+                    .guard_str("done")
+                    .unwrap()
+                    .update_with(|sp, st| {
+                        let done = sp.var("done").unwrap();
+                        assert_eq!(sp.value(st, done), 1, "update ran where ~done");
+                        let i = sp.var("i").unwrap();
+                        sp.with_value(st, i, 0)
+                    }),
+            )
+            .build()
+            .unwrap();
+        let symbolic = SymbolicKbp::from_program(&program).unwrap();
+        let s = symbolic.solve_iterative(8).unwrap();
+        let e = Kbp::new(program).solve_iterative(8).unwrap();
+        assert_eq!(e.solution().map(kpt_state::Predicate::count), Some(3));
+        assert_eq!(s.map(|p| p.to_explicit()), e);
     }
 
     #[test]

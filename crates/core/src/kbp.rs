@@ -26,8 +26,9 @@
 //!   `x_{k+1} = SI(program[K @ x_k])` with cycle detection; sound when it
 //!   converges (the result is verified), inconclusive otherwise.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use kpt_state::{Predicate, VarSet};
 use kpt_transformers::iterate_to_fixpoint;
@@ -74,11 +75,16 @@ impl SiCache {
 /// taking its strongest invariant — is the solver's unit of work; results
 /// are memoized per candidate, so the cycle-detection replays of
 /// [`Kbp::solve_iterative`] and repeated [`Kbp::is_solution`] probes are
-/// answered from cache.
+/// answered from cache. A knowledge-free guard denotes the same predicate
+/// at every candidate, so it is evaluated once, by the first
+/// [`Kbp::compile_at`], and kept.
 #[derive(Debug)]
 pub struct Kbp {
     program: Program,
     views: Vec<(String, VarSet)>,
+    /// Per statement, its knowledge-free guard (`None` for a knowledge
+    /// guard); filled by the first [`Kbp::compile_at`] that compiles.
+    static_guards: OnceLock<Vec<Option<Predicate>>>,
     si_cache: Mutex<SiCache>,
 }
 
@@ -87,6 +93,7 @@ impl Clone for Kbp {
         Kbp {
             program: self.program.clone(),
             views: self.views.clone(),
+            static_guards: self.static_guards.clone(),
             si_cache: Mutex::new(self.si_cache.lock().expect("SI cache poisoned").clone()),
         }
     }
@@ -105,6 +112,7 @@ impl Kbp {
         Kbp {
             program,
             views,
+            static_guards: OnceLock::new(),
             si_cache: Mutex::new(SiCache::default()),
         }
     }
@@ -125,16 +133,54 @@ impl Kbp {
     /// Compile the *standard* program obtained by evaluating every
     /// knowledge guard against the candidate invariant `x` (the paper's
     /// "replacing all the knowledge predicates with the corresponding
-    /// standard predicate obtained using SI").
+    /// standard predicate obtained using SI"). The program at `x` differs
+    /// from the program only where a guard mentions `K{i}`: the
+    /// knowledge-free guards come from the first call's evaluation, and
+    /// only the knowledge guards are evaluated at `x`.
     ///
     /// # Errors
     /// Compilation errors from the underlying program.
     pub fn compile_at(&self, x: &Predicate) -> Result<CompiledProgram, CoreError> {
-        // One shared knowledge context per candidate: every guard of every
-        // statement evaluates its K{i} subterms through the same memo.
+        let mut span = kpt_obs::span("solver.compile_at");
+        // One shared knowledge context per candidate: every knowledge guard
+        // evaluates its K{i} subterms through the same memo.
         let op = KnowledgeOperator::with_si(self.program.space(), self.views.clone(), x.clone())?;
         let f = op.knowledge_fn();
-        Ok(self.program.compile_with_knowledge(f.as_ref())?)
+        let space = self.program.space();
+        let cached = self.static_guards.get();
+        let (mut reused, mut evaluated) = (0u64, 0u64);
+        let guards = self.program.eval_guards(|i, stmt| {
+            if let Some(g) = cached.and_then(|statics| statics[i].as_ref()) {
+                reused += 1;
+                return Ok(Cow::Borrowed(g));
+            }
+            evaluated += u64::from(stmt.guard().mentions_knowledge());
+            stmt.eval_guard(space, Some(f.as_ref())).map(Cow::Owned)
+        })?;
+        span.field("static_guards", reused)
+            .field("knowledge_guards", evaluated);
+        let compiled = self.program.compile_guarded(&guards)?;
+        if cached.is_none() {
+            let statics = self
+                .program
+                .statements()
+                .iter()
+                .zip(guards)
+                .map(|(stmt, g)| (!stmt.guard().mentions_knowledge()).then(|| g.into_owned()))
+                .collect();
+            // A concurrent first call may have filled it with the same guards.
+            let _ = self.static_guards.set(statics);
+        }
+        Ok(compiled)
+    }
+
+    /// How many knowledge-free guards this KBP holds: none before the
+    /// first [`Kbp::compile_at`] that compiles, then one bitset per
+    /// knowledge-free statement.
+    pub fn cached_static_guards(&self) -> usize {
+        self.static_guards
+            .get()
+            .map_or(0, |statics| statics.iter().flatten().count())
     }
 
     /// The eq. (25) verification: `x` solves the KBP iff `x` is exactly the
@@ -528,6 +574,108 @@ mod tests {
         // with_init starts fresh (the equation changed).
         let other = kbp.with_init(first);
         assert_eq!(other.cached_candidates(), 0);
+    }
+
+    /// The error a full compile at `x` reports: every guard evaluated
+    /// through `compile_with_knowledge`.
+    fn full_compile_error(kbp: &Kbp, x: &Predicate) -> CoreError {
+        let op = KnowledgeOperator::with_si(kbp.program().space(), kbp.views.clone(), x.clone())
+            .unwrap();
+        let f = op.knowledge_fn();
+        CoreError::from(
+            kbp.program()
+                .compile_with_knowledge(f.as_ref())
+                .unwrap_err(),
+        )
+    }
+
+    #[test]
+    fn static_guards_are_evaluated_lazily_and_kept() {
+        let space = StateSpace::builder()
+            .nat_var("i", 3)
+            .unwrap()
+            .bool_var("done")
+            .unwrap()
+            .build()
+            .unwrap();
+        let program = Program::builder("mixed", &space)
+            .init_str("i = 0 /\\ ~done")
+            .unwrap()
+            .process("P", ["i"])
+            .unwrap()
+            .statement(
+                Statement::new("inc")
+                    .guard_str("i < 2")
+                    .unwrap()
+                    .assign_str("i", "i + 1")
+                    .unwrap(),
+            )
+            .statement(
+                Statement::new("finish")
+                    .guard_str("K{P}(i = 2)")
+                    .unwrap()
+                    .assign_str("done", "1")
+                    .unwrap(),
+            )
+            .statement(Statement::new("skip"))
+            .build()
+            .unwrap();
+        let kbp = Kbp::new(program);
+        assert_eq!(kbp.cached_static_guards(), 0, "Kbp::new evaluated a guard");
+        let x = kbp.program().init().clone();
+        kbp.compile_at(&x).unwrap();
+        // `inc`'s formula and `skip`'s `Always`; not the knowledge guard.
+        assert_eq!(kbp.cached_static_guards(), 2);
+        assert_eq!(kbp.clone().cached_static_guards(), 2);
+        assert!(kbp.solve_iterative(8).unwrap().solution().is_some());
+    }
+
+    #[test]
+    fn failed_static_guard_fills_nothing_and_keeps_the_full_compile_error() {
+        let space = StateSpace::builder()
+            .bool_var("b")
+            .unwrap()
+            .build()
+            .unwrap();
+        let statement = |guard: &str| {
+            Statement::new(format!("s_{}", guard.len()))
+                .guard_str(guard)
+                .unwrap()
+                .assign_str("b", "1")
+                .unwrap()
+        };
+        let program = Program::builder("broken", &space)
+            .init_str("~b")
+            .unwrap()
+            .process("P", ["b"])
+            .unwrap()
+            .statement(statement("K{P}(~b)"))
+            .statement(statement("nope"))
+            .build()
+            .unwrap();
+        // Construction evaluates nothing, so it cannot fail.
+        let kbp = Kbp::new(program.clone());
+        let x = kbp.program().init().clone();
+        let expected = full_compile_error(&kbp, &x);
+        assert!(expected.to_string().contains("nope"), "{expected}");
+        for _ in 0..2 {
+            assert_eq!(kbp.compile_at(&x).unwrap_err(), expected);
+            assert_eq!(kbp.cached_static_guards(), 0);
+        }
+        // An earlier failing knowledge guard still wins over the static one.
+        let earlier = Program::builder("earlier", &space)
+            .init_str("~b")
+            .unwrap()
+            .statement(statement("K{Q}(~b)"))
+            .statement(statement("nope"))
+            .build()
+            .unwrap();
+        let kbp = Kbp::new(earlier);
+        let expected = full_compile_error(&kbp, &x);
+        assert!(expected.to_string().contains('Q'), "{expected}");
+        for _ in 0..2 {
+            assert_eq!(kbp.compile_at(&x).unwrap_err(), expected);
+        }
     }
 
     #[test]

@@ -4,18 +4,19 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use kpt_logic::{EvalError, Expr, Formula};
-use kpt_state::{witness_state, StateSpace};
+use kpt_state::{witness_state, Predicate, StateSpace};
 use kpt_unity::{Guard, Program, Statement};
 
-use crate::erase::guard_over_approx;
+use crate::erase::ErasedGuards;
 use crate::{Anchor, Diagnostic, DiagnosticCode};
 
 /// Semantic range scanning is skipped above this many states — the
 /// declaration pass must stay cheap on the symbolic-scale instances.
 const MAX_SCAN_STATES: u64 = 1 << 20;
 
-/// Run the declaration-level checks.
-pub fn check(program: &Program, diags: &mut Vec<Diagnostic>) {
+/// Run the declaration-level checks. `guards` is the run's shared erased
+/// guards; the `KPT002` scan evaluates only those it reads.
+pub(crate) fn check(program: &Program, guards: &ErasedGuards, diags: &mut Vec<Diagnostic>) {
     let space = program.space();
 
     // KPT004: empty init means SI = sst.init = ff — every invariant and
@@ -32,7 +33,7 @@ pub fn check(program: &Program, diags: &mut Vec<Diagnostic>) {
     }
 
     let mut seen_names: BTreeSet<&str> = BTreeSet::new();
-    for stmt in program.statements() {
+    for (i, stmt) in program.statements().iter().enumerate() {
         // KPT003a: duplicate statement names (the builder rejects these,
         // but the check keeps the analyzer self-contained).
         if !seen_names.insert(stmt.name()) {
@@ -61,7 +62,7 @@ pub fn check(program: &Program, diags: &mut Vec<Diagnostic>) {
 
         let had_unknowns = check_identifiers(space, stmt, diags);
         if !had_unknowns {
-            check_update_ranges(space, stmt, diags);
+            check_update_ranges(space, stmt, || guards.get(i), diags);
         }
     }
 }
@@ -275,11 +276,16 @@ fn check_formula(
 /// over-approximation of every solution's enabled set) and evaluate each
 /// assignment; any value outside the target domain is a finding with the
 /// offending state as witness.
-fn check_update_ranges(space: &Arc<StateSpace>, stmt: &Statement, diags: &mut Vec<Diagnostic>) {
+fn check_update_ranges<'g>(
+    space: &Arc<StateSpace>,
+    stmt: &Statement,
+    erased_guard: impl FnOnce() -> Option<&'g Predicate>,
+    diags: &mut Vec<Diagnostic>,
+) {
     if stmt.assignments().is_empty() || space.num_states() > MAX_SCAN_STATES {
         return;
     }
-    let Some(enabled) = guard_over_approx(space, stmt) else {
+    let Some(enabled) = erased_guard() else {
         return;
     };
     for (idx, (target, rhs)) in stmt.assignments().iter().enumerate() {
@@ -359,7 +365,7 @@ mod tests {
                 .build()
                 .unwrap();
             let mut diags = Vec::new();
-            check(&program, &mut diags);
+            check(&program, &ErasedGuards::new(&program), &mut diags);
             let found: Vec<&Diagnostic> = diags
                 .iter()
                 .filter(|d| d.code == DiagnosticCode::UnknownIdentifier)
@@ -402,7 +408,7 @@ mod tests {
                 .build()
                 .unwrap();
             let mut diags = Vec::new();
-            check(&program, &mut diags);
+            check(&program, &ErasedGuards::new(&program), &mut diags);
             assert!(
                 !diags
                     .iter()

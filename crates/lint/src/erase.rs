@@ -2,6 +2,7 @@
 //! predicates, identifier resolution, and a small expression evaluator
 //! mirroring the semantics of `kpt-unity`'s compiler.
 
+use std::cell::OnceCell;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -67,8 +68,40 @@ pub fn guard_over_approx(space: &Arc<StateSpace>, stmt: &Statement) -> Option<Pr
     }
 }
 
+/// The erased guards of one lint run: statement `i`'s
+/// [`guard_over_approx`], evaluated on first use and shared by every pass
+/// that reads it (the declaration pass's `KPT002` scan, `KPT007`/`KPT008`
+/// and the erased program's `SI`).
+pub(crate) struct ErasedGuards<'p> {
+    program: &'p Program,
+    guards: Vec<OnceCell<Option<Predicate>>>,
+}
+
+impl<'p> ErasedGuards<'p> {
+    /// Nothing evaluated yet.
+    pub(crate) fn new(program: &'p Program) -> Self {
+        ErasedGuards {
+            program,
+            guards: program
+                .statements()
+                .iter()
+                .map(|_| OnceCell::new())
+                .collect(),
+        }
+    }
+
+    /// Statement `i`'s erased guard; `None` when it does not evaluate.
+    pub(crate) fn get(&self, i: usize) -> Option<&Predicate> {
+        self.guards[i]
+            .get_or_init(|| guard_over_approx(self.program.space(), &self.program.statements()[i]))
+            .as_ref()
+    }
+}
+
 /// The knowledge-erased over-approximation of a program: same space, init,
 /// processes and updates; every guard formula erased at positive polarity.
+/// Lint compiles the same program from its shared [`ErasedGuards`]; this
+/// builder is the reference the differential tests compare it against.
 ///
 /// # Errors
 /// Construction errors from the builder (none for a well-formed input).

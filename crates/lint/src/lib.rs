@@ -623,9 +623,10 @@ pub fn lint_program_with(program: &Program, options: &LintOptions) -> LintReport
     let mut span = kpt_obs::span("lint.program");
     kpt_obs::counter!("lint.runs").incr();
     let mut diagnostics = Vec::new();
+    let guards = erase::ErasedGuards::new(program);
     if options.decl {
         let _pass = kpt_obs::span("lint.pass.decl");
-        decl::check(program, &mut diagnostics);
+        decl::check(program, &guards, &mut diagnostics);
     }
     if options.view {
         let _pass = kpt_obs::span("lint.pass.view");
@@ -642,7 +643,7 @@ pub fn lint_program_with(program: &Program, options: &LintOptions) -> LintReport
     let mut symbolic_ran = options.symbolic && !errors_so_far;
     if symbolic_ran {
         let _pass = kpt_obs::span("lint.pass.symbolic");
-        symbolic_ran = symbolic::check(program, &mut diagnostics);
+        symbolic_ran = symbolic::check(program, &guards, &mut diagnostics);
     }
     kpt_obs::counter!("lint.findings").add(diagnostics.len() as u64);
     span.field("program", program.name())

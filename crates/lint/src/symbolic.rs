@@ -8,9 +8,11 @@
 //! under that over-approximating `SI` is unsatisfiable under every
 //! solution's `SI` — genuinely dead code.
 //!
-//! The `SI` is the erased program's explicit, cached
-//! [`kpt_unity::CompiledProgram::si`] and the guards are its explicit
-//! erased guards ([`guard_over_approx`]). No BDD is built: a BDD relation
+//! The guards are the run's explicit erased guards
+//! ([`crate::erase::guard_over_approx`], evaluated once per lint run and
+//! shared with the declaration pass), and the `SI` is the explicit, cached
+//! [`kpt_unity::CompiledProgram::si`] of the program compiled with them
+//! ([`kpt_unity::Program::compile_guarded`]). No BDD is built: a BDD relation
 //! rebuilt from the compiled transitions, one pair cube per state, makes
 //! the `SI` cost about 1000x the explicit one.
 
@@ -18,42 +20,37 @@ use std::collections::BTreeSet;
 
 use kpt_logic::Formula;
 use kpt_state::{witness_state, Predicate, VarId};
-use kpt_unity::{Guard, Program, Statement};
+use kpt_unity::{CompiledProgram, Guard, Program, Statement};
 
-use crate::erase::{erased_program, eval_assign_rhs, guard_over_approx, top_level_knowledge};
+use crate::erase::{eval_assign_rhs, top_level_knowledge, ErasedGuards};
 use crate::{Diagnostic, DiagnosticCode};
 
 /// At most this many overlap states are evaluated per statement pair.
 const MAX_OVERLAP_SAMPLES: usize = 1024;
 
-/// Run the symbolic checks. Assumes the declaration and view passes found
-/// no errors (the orchestrator skips this pass otherwise). Returns whether
-/// `KPT007`/`KPT008` ran — `false` when the erased program does not build
-/// or compile. The syntactic `KPT009` check has run in every case.
-pub(crate) fn check(program: &Program, diags: &mut Vec<Diagnostic>) -> bool {
+/// Run the symbolic checks over the run's shared erased guards. Assumes
+/// the declaration and view passes found no errors (the orchestrator
+/// skips this pass otherwise). Returns whether `KPT007`/`KPT008` ran —
+/// `false` when an erased guard does not evaluate or the erased program
+/// does not compile. The syntactic `KPT009` check has run in every case.
+pub(crate) fn check(program: &Program, erased: &ErasedGuards, diags: &mut Vec<Diagnostic>) -> bool {
     check_circularity(program, diags);
 
-    let Ok(erased) = erased_program(program) else {
-        return false;
-    };
-    let Ok(compiled) = erased.compile() else {
+    let Some((all, compiled)) = compile_erased(program, erased) else {
         return false;
     };
     let si = compiled.si();
-    let space = program.space();
-    let guards: Vec<Option<Predicate>> = program
+    let guards: Vec<Option<&Predicate>> = program
         .statements()
         .iter()
-        .map(|stmt| match stmt.guard() {
-            Guard::Always => None,
-            _ => guard_over_approx(space, stmt),
-        })
+        .zip(all)
+        .map(|(stmt, g)| (!matches!(stmt.guard(), Guard::Always)).then_some(g))
         .collect();
 
     // KPT007: a guard false everywhere in the over-approximating SI can
     // never fire in any solution of the protocol.
     for (stmt, g) in program.statements().iter().zip(&guards) {
-        if g.as_ref().is_some_and(|g| g.and(si).is_false()) {
+        if g.is_some_and(|g| g.and(si).is_false()) {
             diags.push(Diagnostic::on_guard(
                 DiagnosticCode::DeadGuard,
                 stmt.name(),
@@ -68,19 +65,32 @@ pub(crate) fn check(program: &Program, diags: &mut Vec<Diagnostic>) -> bool {
     true
 }
 
+/// Every erased guard, in statement order, and the program compiled with
+/// them: the knowledge-erased program's compile. `None` when a guard does
+/// not evaluate or an update fails.
+fn compile_erased<'g>(
+    program: &Program,
+    erased: &'g ErasedGuards,
+) -> Option<(Vec<&'g Predicate>, CompiledProgram)> {
+    let guards = (0..program.statements().len())
+        .map(|i| erased.get(i))
+        .collect::<Option<Vec<_>>>()?;
+    let compiled = program.compile_guarded(&guards).ok()?;
+    Some((guards, compiled))
+}
+
 /// KPT008: two knowledge-free statements whose guards overlap inside the
 /// invariant and that assign *different* values to the same variable at an
 /// overlap state — the nondeterministic scheduler makes the outcome racy.
 ///
 /// Knowledge-guarded statements are excluded: their enabledness depends on
 /// the solution's SI, so syntactic overlap proves nothing. `guards[i]` is
-/// statement `i`'s erased guard, `None` when it is trivially true or does
-/// not evaluate.
+/// statement `i`'s erased guard, `None` when it is trivially true.
 fn check_races(
     program: &Program,
     diags: &mut Vec<Diagnostic>,
     si: &Predicate,
-    guards: &[Option<Predicate>],
+    guards: &[Option<&Predicate>],
 ) {
     let space = program.space();
     let stmts: Vec<&Statement> = program.statements().iter().collect();
@@ -101,9 +111,9 @@ fn check_races(
             if shared.is_empty() {
                 continue;
             }
-            let ga = guards[i].clone().unwrap_or_else(|| si.clone());
-            let gb = guards[j].clone().unwrap_or_else(|| si.clone());
-            let overlap = ga.and(&gb).and(si);
+            let ga = guards[i].unwrap_or(si);
+            let gb = guards[j].unwrap_or(si);
+            let overlap = ga.and(gb).and(si);
             if overlap.is_false() {
                 continue;
             }
@@ -273,7 +283,7 @@ pub(crate) fn collect_formula_vars(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::erase::erase_knowledge;
+    use crate::erase::{erase_knowledge, erased_program, guard_over_approx};
     use crate::registry::registry;
     use kpt_bdd::{BddSpace, SymbolicEvalContext, SymbolicKbp};
     use kpt_testkit::genprog::{gen_program, GenConfig};
@@ -283,7 +293,7 @@ mod tests {
     /// in full (code, anchor, message, witnesses).
     fn run(program: &Program) -> (bool, Vec<String>) {
         let mut diags = Vec::new();
-        let ran = check(program, &mut diags);
+        let ran = check(program, &ErasedGuards::new(program), &mut diags);
         (ran, diags.iter().map(|d| format!("{d:?}")).collect())
     }
 
@@ -302,15 +312,27 @@ mod tests {
         kpt_unity::parse_program(src).expect("test source parses").1
     }
 
-    /// The explicit guards `check` uses equal the ones the BDD engine
-    /// evaluates from the erased formulas, and the explicit `SI` equals
-    /// the one `SymbolicKbp`'s translator reaches — the inputs the symbolic
-    /// depth took before it went explicit. Returns whether the `SI` was
+    /// The `SI` `check` compiles from the shared erased guards equals the
+    /// reference `erased_program(p).compile()?.si()` (both fail together);
+    /// the explicit guards equal the ones the BDD engine evaluates from the
+    /// erased formulas; and the explicit `SI` equals the one
+    /// `SymbolicKbp`'s translator reaches — the inputs the symbolic depth
+    /// took before it went explicit. Returns whether the BDD `SI` was
     /// compared: not when the erased program does not compile or the
     /// translator refuses it, nor for opaque updates on more than 2^12
     /// states, which the translator sweeps state by state (seconds per §6
     /// model in a debug build).
     fn agrees_with_bdd(program: &Program) -> bool {
+        let erased = erased_program(program).unwrap();
+        let reference = erased.compile();
+        let erased_guards = ErasedGuards::new(program);
+        let shared = compile_erased(program, &erased_guards);
+        assert_eq!(
+            shared.as_ref().map(|(_, c)| c.si()),
+            reference.as_ref().ok().map(CompiledProgram::si),
+            "{}: lint's erased SI differs from the erased program's",
+            program.name()
+        );
         let space = program.space();
         let bdd = BddSpace::new(space);
         for stmt in program.statements() {
@@ -334,8 +356,7 @@ mod tests {
         if opaque && space.num_states() > 1 << 12 {
             return false;
         }
-        let erased = erased_program(program).unwrap();
-        let Ok(compiled) = erased.compile() else {
+        let Ok(compiled) = reference else {
             return false;
         };
         let Ok(skbp) = SymbolicKbp::from_program(&erased) else {

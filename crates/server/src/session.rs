@@ -156,12 +156,14 @@ impl Model {
 
     /// Approximate resident bytes: the SI memo's predicates (one bitset of
     /// `num_states` bits per cached candidate, twice — key and value —
-    /// plus SI and init), the source text and its source map, the cached
-    /// lint reports, and a flat allowance for the symbolic manager when it
-    /// has been built.
+    /// plus SI and init), the knowledge-free guards the `Kbp` keeps after
+    /// its first solve (one bitset each), the source text and its source
+    /// map, the cached lint reports, and a flat allowance for the symbolic
+    /// manager when it has been built.
     pub fn approx_bytes(&self) -> u64 {
         let bitset = self.space.num_states() / 8 + 64;
         let cached = self.kbp.cached_candidates() as u64;
+        let static_guards = self.kbp.cached_static_guards() as u64;
         let symbolic = if self.symbolic.lock().map(|s| s.is_some()).unwrap_or(false) {
             1 << 20
         } else {
@@ -172,7 +174,7 @@ impl Model {
             .lock()
             .map(|l| l.iter().flatten().map(|a| a.report.len() as u64).sum())
             .unwrap_or(0);
-        bitset * (2 * cached + 4)
+        bitset * (2 * cached + static_guards + 4)
             + self.source.len() as u64
             + source_map_bytes(&self.map)
             + linted
@@ -422,6 +424,21 @@ mod tests {
         );
         let fast = m.lint(false);
         assert!(m.approx_bytes() >= before + (answer.report.len() + fast.report.len()) as u64);
+    }
+
+    #[test]
+    fn kept_static_guards_are_counted_in_the_estimate() {
+        let s = Sessions::new(SessionConfig::default());
+        let m = s.get_or_load(SRC_A).expect("loads");
+        let before = m.approx_bytes();
+        assert_eq!(m.kbp().cached_static_guards(), 0);
+        assert!(m.kbp().solve_iterative(8).unwrap().solution().is_some());
+        // `set`'s guard `~x` is knowledge-free: one kept bitset, on top
+        // of the memoized candidates' two each.
+        assert_eq!(m.kbp().cached_static_guards(), 1);
+        let bitset = m.space().num_states() / 8 + 64;
+        let memo = 2 * m.kbp().cached_candidates() as u64;
+        assert!(m.approx_bytes() >= before + bitset * (memo + 1));
     }
 
     #[test]

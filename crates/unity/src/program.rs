@@ -10,6 +10,7 @@
 //! must be compiled through [`Program::compile_with_knowledge`] with an
 //! explicit knowledge semantics.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -19,7 +20,7 @@ use kpt_transformers::DetTransition;
 
 use crate::compiled::CompiledProgram;
 use crate::error::UnityError;
-use crate::statement::{Guard, Statement};
+use crate::statement::Statement;
 
 /// A named process: per §5, "a process in our framework is simply a subset
 /// of program variables".
@@ -118,7 +119,8 @@ impl Program {
             .any(|s| s.guard().mentions_knowledge())
     }
 
-    /// Compile as a *standard* program.
+    /// Compile as a *standard* program: evaluate each guard, then
+    /// [`Program::compile_guarded`].
     ///
     /// # Errors
     /// [`UnityError::KnowledgeGuard`] if any guard mentions knowledge;
@@ -133,13 +135,17 @@ impl Program {
                 statement: s.name().to_owned(),
             });
         }
-        self.compile_inner(None)
+        let guards = self.eval_guards(|_, stmt| stmt.eval_guard(&self.space, None))?;
+        self.compile_guarded(&guards)
     }
 
-    /// Compile with an explicit knowledge semantics for `K{i}` guards.
+    /// Compile with an explicit knowledge semantics for `K{i}` guards:
+    /// evaluate each guard against `knowledge`, then
+    /// [`Program::compile_guarded`].
     ///
-    /// The knowledge-based-protocol machinery in `kpt-core` calls this with
-    /// the eq. (13) semantics instantiated at a candidate strongest
+    /// The knowledge-based-protocol machinery in `kpt-core` evaluates its
+    /// guards itself (keeping the knowledge-free ones across candidates)
+    /// with the eq. (13) semantics instantiated at a candidate strongest
     /// invariant; this crate stays agnostic about what "knowledge" means.
     ///
     /// # Errors
@@ -148,20 +154,62 @@ impl Program {
         &self,
         knowledge: &KnowledgeFn<'_>,
     ) -> Result<CompiledProgram, UnityError> {
-        self.compile_inner(Some(knowledge))
+        let guards = self.eval_guards(|_, stmt| stmt.eval_guard(&self.space, Some(knowledge)))?;
+        self.compile_guarded(&guards)
     }
 
-    fn compile_inner(
-        &self,
-        knowledge: Option<&KnowledgeFn<'_>>,
-    ) -> Result<CompiledProgram, UnityError> {
-        let mut span = kpt_obs::span("unity.compile");
-        let mut transitions = Vec::with_capacity(self.statements.len());
-        let mut names = Vec::with_capacity(self.statements.len());
-        for stmt in &self.statements {
-            transitions.push(compile_statement(&self.space, stmt, knowledge)?);
-            names.push(stmt.name().to_owned());
+    /// Evaluate one guard per statement with `eval(index, statement)`, in
+    /// statement order — the first half of a compile. A guard may be owned
+    /// or borrowed (`Cow<Predicate>`), so a caller can hand back guards it
+    /// keeps elsewhere without copying them.
+    ///
+    /// # Errors
+    /// The error a statement-by-statement compile reports: when statement
+    /// `i`'s guard fails, an update error of a statement before `i` if
+    /// there is one, else the guard's error.
+    pub fn eval_guards<G, F>(&self, mut eval: F) -> Result<Vec<G>, UnityError>
+    where
+        G: Borrow<Predicate>,
+        F: FnMut(usize, &Statement) -> Result<G, UnityError>,
+    {
+        let mut guards = Vec::with_capacity(self.statements.len());
+        for (i, stmt) in self.statements.iter().enumerate() {
+            match eval(i, stmt) {
+                Ok(g) => guards.push(g),
+                Err(e) => return Err(self.compile_transitions(&guards).err().unwrap_or(e)),
+            }
         }
+        Ok(guards)
+    }
+
+    /// Compile with one evaluated guard per statement, in statement order:
+    /// each statement's update runs at exactly its guard's states, and
+    /// every other state is fixed. [`Program::compile`] and
+    /// [`Program::compile_with_knowledge`] are "evaluate each guard, then
+    /// this".
+    ///
+    /// # Errors
+    /// Update errors: unknown identifiers, or
+    /// [`UnityError::UpdateOutOfRange`] at a guard-enabled state.
+    ///
+    /// # Panics
+    /// If `guards` does not hold exactly one predicate per statement.
+    pub fn compile_guarded<G: Borrow<Predicate>>(
+        &self,
+        guards: &[G],
+    ) -> Result<CompiledProgram, UnityError> {
+        assert_eq!(
+            guards.len(),
+            self.statements.len(),
+            "compile_guarded takes one guard per statement"
+        );
+        let mut span = kpt_obs::span("unity.compile");
+        let transitions = self.compile_transitions(guards)?;
+        let names = self
+            .statements
+            .iter()
+            .map(|s| s.name().to_owned())
+            .collect();
         span.field("statements", transitions.len() as u64);
         if span.is_live() {
             let moved: u64 = transitions.iter().map(|t| t.moved().count()).sum();
@@ -177,30 +225,26 @@ impl Program {
             self.processes.clone(),
         ))
     }
+
+    /// The transitions of the first `guards.len()` statements.
+    fn compile_transitions<G: Borrow<Predicate>>(
+        &self,
+        guards: &[G],
+    ) -> Result<Vec<DetTransition>, UnityError> {
+        self.statements
+            .iter()
+            .zip(guards)
+            .map(|(stmt, guard)| compile_statement(&self.space, stmt, guard.borrow()))
+            .collect()
+    }
 }
 
 fn compile_statement(
     space: &Arc<StateSpace>,
     stmt: &Statement,
-    knowledge: Option<&KnowledgeFn<'_>>,
+    guard: &Predicate,
 ) -> Result<DetTransition, UnityError> {
-    // 1. Guard to semantic predicate.
-    let guard = match stmt.guard() {
-        Guard::Always => Predicate::tt(space),
-        Guard::Pred(p) => p.clone(),
-        Guard::Formula(f) => {
-            let mut ctx = EvalContext::new(space);
-            for (k, v) in stmt.params() {
-                ctx = ctx.with_param(k.clone(), *v);
-            }
-            if let Some(k) = knowledge {
-                ctx = ctx.with_knowledge(k);
-            }
-            ctx.eval(f)?
-        }
-    };
-
-    // 2. Compile assignment right-hand sides once.
+    // 1. Compile assignment right-hand sides once.
     let mut compiled: Vec<(VarId, CExpr)> = Vec::with_capacity(stmt.assignments().len());
     for (var_name, expr) in stmt.assignments() {
         let var = space.var(var_name)?;
@@ -209,11 +253,11 @@ fn compile_statement(
         compiled.push((var, ce));
     }
 
-    // 3. Evaluate the update at exactly the guard-enabled states; every
+    // 2. Evaluate the update at exactly the guard-enabled states; every
     //    other state is fixed ("the statement has no effect", §5).
     let n = space.num_states();
     let mut out_of_range: Option<UnityError> = None;
-    let trans = DetTransition::guarded(space, &guard, |s| {
+    let trans = DetTransition::guarded(space, guard, |s| {
         if out_of_range.is_some() {
             return s;
         }
@@ -512,6 +556,45 @@ mod tests {
         // With a (degenerate) knowledge semantics it compiles.
         let k: Box<KnowledgeFn> = Box::new(|_p, pred: &Predicate| Ok(pred.clone()));
         assert!(p.compile_with_knowledge(&k).is_ok());
+    }
+
+    #[test]
+    fn compile_guarded_on_the_evaluated_guards_is_compile() {
+        let s = space();
+        let p = counter(&s);
+        let guards = p.eval_guards(|_, stmt| stmt.eval_guard(&s, None)).unwrap();
+        let c = p.compile().unwrap();
+        let g = p.compile_guarded(&guards).unwrap();
+        assert_eq!(g.si(), c.si());
+        for (a, b) in g.transitions().iter().zip(c.transitions()) {
+            assert_eq!(a.moved(), b.moved());
+            assert!(a.moved().iter().all(|st| a.step(st) == b.step(st)));
+        }
+        // Other guards give another program: `finish` enabled everywhere.
+        let mut wider = guards.clone();
+        wider[1] = Predicate::tt(&s);
+        let w = p.compile_guarded(&wider).unwrap();
+        assert!(w.transitions()[1].moved().count() > c.transitions()[1].moved().count());
+    }
+
+    #[test]
+    fn earlier_update_error_wins_over_a_later_guard_error() {
+        // The statement-by-statement order: `inc`'s update fails before
+        // `bad`'s guard is reached.
+        let s = space();
+        let p = Program::builder("order", &s)
+            .statement(Statement::new("inc").assign_str("i", "i + 1").unwrap())
+            .statement(Statement::new("bad").guard_str("nope").unwrap())
+            .build()
+            .unwrap();
+        let e = p.compile().unwrap_err();
+        assert!(matches!(e, UnityError::UpdateOutOfRange { .. }), "{e}");
+        let q = Program::builder("order", &s)
+            .statement(Statement::new("skip"))
+            .statement(Statement::new("bad").guard_str("nope").unwrap())
+            .build()
+            .unwrap();
+        assert!(q.compile().unwrap_err().to_string().contains("nope"));
     }
 
     #[test]

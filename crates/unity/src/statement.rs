@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use kpt_logic::{parse_expr, parse_formula, Expr, Formula};
+use kpt_logic::{parse_expr, parse_formula, EvalContext, Expr, Formula, KnowledgeFn};
 use kpt_state::{Predicate, StateSpace};
 
 use crate::error::UnityError;
@@ -147,6 +147,34 @@ impl Statement {
     /// The functional part of the update, if any.
     pub fn update_fn(&self) -> Option<&Arc<UpdateFn>> {
         self.update_fn.as_ref()
+    }
+
+    /// The guard as a semantic predicate over `space`, with the
+    /// statement's parameters bound and `K{i}` subterms answered by
+    /// `knowledge`.
+    ///
+    /// # Errors
+    /// Evaluation errors (unknown identifiers, a knowledge guard without
+    /// a knowledge semantics, …).
+    pub fn eval_guard(
+        &self,
+        space: &Arc<StateSpace>,
+        knowledge: Option<&KnowledgeFn<'_>>,
+    ) -> Result<Predicate, UnityError> {
+        match &self.guard {
+            Guard::Always => Ok(Predicate::tt(space)),
+            Guard::Pred(p) => Ok(p.clone()),
+            Guard::Formula(f) => {
+                let mut ctx = EvalContext::new(space);
+                for (k, v) in &self.params {
+                    ctx = ctx.with_param(k.clone(), *v);
+                }
+                if let Some(k) = knowledge {
+                    ctx = ctx.with_knowledge(k);
+                }
+                Ok(ctx.eval(f)?)
+            }
+        }
     }
 
     /// Set the guard from a formula AST.

@@ -5,8 +5,10 @@
 mod common;
 
 use common::program_spec;
+use knowledge_pt::core::CoreError;
 use knowledge_pt::prelude::*;
-use kpt_testkit::check;
+use kpt_testkit::genprog::{gen_program, GenConfig};
+use kpt_testkit::{check, Rng};
 
 // ---------------------------------------------------------------------
 // E4: Figure 1 has no solution.
@@ -228,4 +230,87 @@ fn iterative_solutions_are_verified_fixpoints() {
             assert!(kbp.is_solution(&solution).unwrap());
         }
     });
+}
+
+// ---------------------------------------------------------------------
+// `Kbp::compile_at` keeps its knowledge-free guards across candidates:
+// the program it compiles at every candidate is the full compile's.
+// ---------------------------------------------------------------------
+
+/// Walk the eq.-(25) iteration from `init` until it converges, repeats a
+/// candidate or runs 64 steps, and at every candidate `x` check that
+/// `kbp.compile_at(x)` equals `compile_with_knowledge(K@x)`, which
+/// evaluates every guard at `x`: per-statement moved sets and step
+/// targets, and `SI` — or the same error. Returns how many candidates
+/// were compared.
+fn compile_at_matches_full_compile(kbp: &Kbp, label: &str) -> usize {
+    let program = kbp.program();
+    let views: Vec<(String, VarSet)> = program
+        .processes()
+        .iter()
+        .map(|p| (p.name().to_owned(), p.view()))
+        .collect();
+    let mut seen = Vec::new();
+    let mut x = program.init().clone();
+    while seen.len() < 64 && !seen.contains(&x) {
+        let op = KnowledgeOperator::with_si(program.space(), views.clone(), x.clone()).unwrap();
+        let f = op.knowledge_fn();
+        let full = program.compile_with_knowledge(f.as_ref());
+        let kept = match (kbp.compile_at(&x), full) {
+            (Ok(kept), Ok(full)) => {
+                assert_eq!(kept.si(), full.si(), "{label}: SI differs");
+                for (i, (a, b)) in kept
+                    .transitions()
+                    .iter()
+                    .zip(full.transitions())
+                    .enumerate()
+                {
+                    let name = full.statement_name(i);
+                    assert_eq!(a.moved(), b.moved(), "{label}: `{name}` moves other states");
+                    assert!(
+                        a.moved().iter().all(|s| a.step(s) == b.step(s)),
+                        "{label}: `{name}` has other targets"
+                    );
+                }
+                kept
+            }
+            (Err(kept), Err(full)) => {
+                assert_eq!(kept, CoreError::from(full), "{label}: errors differ");
+                return seen.len() + 1;
+            }
+            (kept, full) => panic!(
+                "{label}: compile_at gave {:?}, the full compile {:?}",
+                kept.err(),
+                full.err()
+            ),
+        };
+        seen.push(x);
+        x = kept.si().clone();
+    }
+    seen.len()
+}
+
+#[test]
+fn compile_at_matches_the_full_compile_on_every_zoo_and_registry_model() {
+    // The registry holds every zoo model.
+    let cases = registry();
+    assert!(cases.iter().any(|c| c.name == "zoo-russian-cards"));
+    for case in cases {
+        let kbp = Kbp::new(case.program);
+        assert!(compile_at_matches_full_compile(&kbp, case.name) >= 1);
+    }
+    // Figure 1 cycles: the walk stops at the repeated candidate.
+    assert!(compile_at_matches_full_compile(&figure1().unwrap(), "figure1") >= 2);
+}
+
+#[test]
+fn compile_at_matches_the_full_compile_on_generated_programs() {
+    let config = GenConfig::default();
+    let mut candidates = 0;
+    for seed in 0..120 {
+        let src = gen_program(&mut Rng::seed_from_u64(seed), &config);
+        let (_, program) = parse_program(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        candidates += compile_at_matches_full_compile(&Kbp::new(program), &format!("seed {seed}"));
+    }
+    assert!(candidates >= 120, "only {candidates} candidates compared");
 }

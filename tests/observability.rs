@@ -74,6 +74,40 @@ fn traced_run_emits_valid_jsonl_covering_all_subsystems() {
     let verdict = fig1.explain_solutions("figure1", &sols);
     assert!(!verdict.holds);
 
+    // solver.compile_at: an explicit solve of a program with one
+    // knowledge-free and one knowledge guard evaluates the knowledge-free
+    // guard at its first candidate only.
+    let counter_space = StateSpace::builder()
+        .nat_var("i", 4)
+        .unwrap()
+        .bool_var("done")
+        .unwrap()
+        .build()
+        .unwrap();
+    let mixed = Program::builder("mixed", &counter_space)
+        .init_str("i = 0 /\\ ~done")
+        .unwrap()
+        .process("P", ["i"])
+        .unwrap()
+        .statement(
+            Statement::new("inc")
+                .guard_str("i < 3")
+                .unwrap()
+                .assign_str("i", "i + 1")
+                .unwrap(),
+        )
+        .statement(
+            Statement::new("finish")
+                .guard_str("K{P}(i >= 2)")
+                .unwrap()
+                .assign_str("done", "1")
+                .unwrap(),
+        )
+        .build()
+        .unwrap();
+    let mixed_outcome = Kbp::new(mixed).solve_iterative(16).unwrap();
+    assert!(mixed_outcome.solution().is_some(), "{mixed_outcome:?}");
+
     // bdd.*: a symbolic solve produces the hierarchical span tree
     // (solver → fixpoint → sp/and_exists) plus manager gauge samples.
     let muddy = kpt_core::muddy_children_n(3).unwrap();
@@ -132,6 +166,39 @@ fn traced_run_emits_valid_jsonl_covering_all_subsystems() {
             .and_then(JsonValue::as_u64)
             .is_some(),
         "unity.compile without moved_states: {compile:?}"
+    );
+
+    // solver.compile_at: under the one explicit iterative solve, the first
+    // candidate evaluates both guards and every later one reuses the
+    // knowledge-free guard.
+    let iterative: std::collections::BTreeSet<u64> = events
+        .iter()
+        .filter(|e| e.get("kind").and_then(JsonValue::as_str) == Some("solver.iterative"))
+        .filter_map(|e| e.get("span_id").and_then(JsonValue::as_u64))
+        .collect();
+    let compile_at: Vec<(Option<u64>, Option<u64>)> = events
+        .iter()
+        .filter(|e| {
+            e.get("kind").and_then(JsonValue::as_str) == Some("solver.compile_at")
+                && e.get("parent_id")
+                    .and_then(JsonValue::as_u64)
+                    .is_some_and(|p| iterative.contains(&p))
+        })
+        .map(|e| {
+            (
+                e.get("static_guards").and_then(JsonValue::as_u64),
+                e.get("knowledge_guards").and_then(JsonValue::as_u64),
+            )
+        })
+        .collect();
+    assert!(
+        compile_at.len() >= 2,
+        "solver.compile_at spans: {compile_at:?}"
+    );
+    assert_eq!(compile_at[0], (Some(0), Some(1)));
+    assert!(
+        compile_at[1..].iter().all(|&f| f == (Some(1), Some(1))),
+        "solver.compile_at spans: {compile_at:?}"
     );
 
     // Span schema round-trip: every closed span carries a process-unique
