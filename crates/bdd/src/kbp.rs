@@ -22,9 +22,10 @@
 //! values — is rooted against garbage collection and released on drop.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use kpt_logic::Formula;
+use kpt_obs::{CacheStats, Memo};
 use kpt_state::{VarId, VarSet};
 use kpt_transformers::{iterate_to_fixpoint, IterativeOutcome};
 use kpt_unity::{Guard, Program};
@@ -39,21 +40,6 @@ use crate::space::BddSpace;
 use crate::transition::{
     ImageRel, Part, PartSet, SymbolicTransition, OPAQUE_ENUM_MAX, SUPPORT_ENUM_MAX,
 };
-
-/// Memoized `candidate → SI` pairs before a clear-on-full eviction;
-/// matches `kpt_core::Kbp`'s cache capacity.
-const SI_CACHE_CAP: usize = 4096;
-
-#[derive(Default)]
-struct SiCache {
-    /// `candidate → SI`. Both sides are rooted while the entry lives, so
-    /// no GC sweep can free (or recycle the id of) either one.
-    map: HashMap<NodeId, NodeId>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    inserts: u64,
-}
 
 /// How a statement's guard is obtained per candidate.
 enum GuardSpec {
@@ -85,7 +71,10 @@ pub struct SymbolicKbp {
     init: NodeId,
     views: Vec<(String, VarSet)>,
     statements: Vec<SymStatement>,
-    si_cache: Mutex<SiCache>,
+    /// `candidate → SI`, as `kpt_core::Kbp` memoizes it. Both sides are
+    /// rooted while the entry lives, so no GC sweep can free (or recycle
+    /// the id of) either one; whatever the memo drops is released.
+    si_cache: Memo<NodeId, NodeId>,
 }
 
 impl std::fmt::Debug for SymbolicKbp {
@@ -156,7 +145,11 @@ impl SymbolicKbp {
             init,
             views,
             statements,
-            si_cache: Mutex::new(SiCache::default()),
+            si_cache: Memo::new(
+                kpt_obs::counter!("bdd.kbp.si_cache.hits"),
+                kpt_obs::counter!("bdd.kbp.si_cache.misses"),
+                kpt_obs::counter!("bdd.kbp.si_cache.evictions"),
+            ),
         })
     }
 
@@ -221,15 +214,8 @@ impl SymbolicKbp {
     }
 
     fn iterate_root_bounded(&self, x: NodeId, max_live_nodes: usize) -> Result<NodeId, BddError> {
-        {
-            let mut cache = self.si_cache.lock().expect("SI cache poisoned");
-            if let Some(&si) = cache.map.get(&x) {
-                cache.hits += 1;
-                kpt_obs::counter!("bdd.kbp.si_cache.hits").incr();
-                return Ok(si);
-            }
-            cache.misses += 1;
-            kpt_obs::counter!("bdd.kbp.si_cache.misses").incr();
+        if let Some(si) = self.si_cache.get(&x) {
+            return Ok(si);
         }
         // One shared knowledge operator per candidate, like
         // `Kbp::compile_at`: every guard's `K{i}` subterms go through one
@@ -275,21 +261,17 @@ impl SymbolicKbp {
             })
             .collect();
         let (si, _) = sst_raw_bounded(&self.space, &mut mgr, self.init, &rels, max_live_nodes)?;
-        let mut cache = self.si_cache.lock().expect("SI cache poisoned");
-        if cache.map.len() >= SI_CACHE_CAP {
-            for (&k, &v) in cache.map.iter() {
-                mgr.release_root(k);
-                mgr.release_root(v);
-            }
-            cache.map.clear();
-            cache.evictions += 1;
-            kpt_obs::counter!("bdd.kbp.si_cache.evictions").incr();
-        }
+        // `si` arrives from `sst_raw_bounded` already carrying one root
+        // reference; the memo adopts it rather than adding a second. Every
+        // pair the memo drops gives its two references back: a full memo's
+        // old entries, or this very pair when a concurrent miss on `x`
+        // inserted first (its `si` is the same canonical node, still rooted
+        // by the winner's entry).
         mgr.add_root(x);
-        // `si` arrives from `sst_raw_bounded` already carrying one root reference;
-        // the cache adopts it rather than adding a second.
-        cache.inserts += 1;
-        cache.map.insert(x, si);
+        for (k, v) in self.si_cache.insert(x, si) {
+            mgr.release_root(k);
+            mgr.release_root(v);
+        }
         Ok(si)
     }
 
@@ -386,15 +368,8 @@ impl SymbolicKbp {
 
     /// SI-cache behaviour (`bdd.kbp.si_cache.*` counters aggregate the
     /// same numbers process-wide).
-    pub fn cache_stats(&self) -> kpt_obs::CacheStats {
-        let cache = self.si_cache.lock().expect("SI cache poisoned");
-        kpt_obs::CacheStats {
-            hits: cache.hits,
-            misses: cache.misses,
-            evictions: cache.evictions,
-            inserts: cache.inserts,
-            entries: cache.map.len(),
-        }
+    pub fn cache_stats(&self) -> CacheStats {
+        self.si_cache.stats()
     }
 }
 
@@ -414,11 +389,9 @@ impl Drop for SymbolicKbp {
                 self.space.release_root(r);
             }
         }
-        if let Ok(cache) = self.si_cache.lock() {
-            for (&k, &v) in cache.map.iter() {
-                self.space.release_root(k);
-                self.space.release_root(v);
-            }
+        for (k, v) in self.si_cache.clear() {
+            self.space.release_root(k);
+            self.space.release_root(v);
         }
     }
 }
@@ -805,6 +778,68 @@ mod tests {
         let after = symbolic.cache_stats();
         assert_eq!(a, b);
         assert_eq!(after.hits, before.hits + 1);
+    }
+
+    /// Live nodes a translated-then-dropped `program` leaves in its
+    /// space after a sweep: the space's own roots, nothing of the solver.
+    fn live_after_drop(kbp: SymbolicKbp) -> usize {
+        let space = Arc::clone(kbp.space());
+        drop(kbp);
+        space.gc_now();
+        space.live_node_count()
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_candidate_release_every_root() {
+        let program = knowledge_program();
+        let baseline = live_after_drop(SymbolicKbp::from_program(&program).unwrap());
+        let symbolic = SymbolicKbp::from_program(&program).unwrap();
+        let expected = symbolic.iterate(&symbolic.init()).unwrap().to_explicit();
+        let fresh = SymbolicKbp::from_program(&program).unwrap();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    let init = fresh.init();
+                    start.wait();
+                    let si = fresh.iterate(&init).unwrap();
+                    assert_eq!(si.to_explicit(), expected);
+                });
+            }
+        });
+        let st = fresh.cache_stats();
+        assert_eq!((st.hits + st.misses, st.entries), (4, 1));
+        assert_eq!(live_after_drop(fresh), baseline);
+    }
+
+    #[test]
+    fn si_cache_clears_on_full_and_releases_what_it_drops() {
+        let space = StateSpace::builder()
+            .nat_var("i", 13)
+            .unwrap()
+            .build()
+            .unwrap();
+        let program = Program::builder("cap", &space)
+            .init_str("i = 0")
+            .unwrap()
+            .statement(Statement::new("skip"))
+            .build()
+            .unwrap();
+        let baseline = live_after_drop(SymbolicKbp::from_program(&program).unwrap());
+        let explicit = Kbp::new(program.clone());
+        let symbolic = SymbolicKbp::from_program(&program).unwrap();
+        // 2^13 = 8192 distinct candidates > MEMO_CAP = 4096; drive exactly
+        // one past the cap.
+        for m in 0..=kpt_obs::MEMO_CAP as u64 {
+            let x = kpt_state::Predicate::from_fn(&space, |i| m >> i & 1 == 1);
+            let sx = SymbolicPredicate::from_explicit(symbolic.space(), &x);
+            let si = symbolic.iterate(&sx).unwrap();
+            assert_eq!(si.to_explicit(), explicit.iterate(&x).unwrap(), "mask {m}");
+        }
+        let st = symbolic.cache_stats();
+        assert_eq!(st.evictions, 1);
+        assert_eq!(st.entries, 1);
+        assert_eq!(live_after_drop(symbolic), baseline);
     }
 
     #[test]

@@ -2,31 +2,26 @@
 //! `K_V.p = p ∧ (wcyl.V.(SI ⇒ p) ∨ ¬SI)` with the weak cylinder `wcyl.V`
 //! realized as universal quantification of the BDD levels outside the view.
 //!
-//! Mirrors `kpt_core::KnowledgeContext`: same memo shape (clear-on-full at
-//! the same capacity), same counters under a `bdd.` prefix, same exit
-//! breadcrumb event when tracing is live.
+//! Mirrors `kpt_core::KnowledgeContext`: the same [`kpt_obs::Memo`], its
+//! counters under a `bdd.` prefix, and the same exit breadcrumb event when
+//! tracing is live.
 //!
 //! The operator roots its `SI` and `¬SI` BDDs for its lifetime, but memo
 //! *values* are deliberately unrooted — the memo instead records the
 //! manager's GC epoch and drops itself wholesale when a sweep has run
 //! since it was filled (stale node ids must never escape).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use kpt_logic::EvalError;
-use kpt_obs::{CacheStats, Field};
+use kpt_obs::{CacheStats, Memo};
 use kpt_state::VarSet;
 
 use crate::error::BddError;
 use crate::manager::{Manager, NodeId};
 use crate::predicate::SymbolicPredicate;
 use crate::space::BddSpace;
-
-/// Memoized `(view, predicate) → K` queries before a clear-on-full
-/// eviction; matches `KnowledgeContext`'s capacity.
-const MEMO_CAP: usize = 4096;
 
 /// The knowledge operator of one program snapshot: a strongest invariant
 /// plus named process views, with `K` computed by quantifier elimination.
@@ -35,13 +30,9 @@ pub struct SymbolicKnowledge {
     views: Vec<(String, VarSet)>,
     si: NodeId,
     not_si: NodeId,
-    memo: Mutex<HashMap<(VarSet, NodeId), NodeId>>,
+    memo: Memo<(VarSet, NodeId), NodeId>,
     /// GC epoch the memo's entries were computed in.
     memo_epoch: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    inserts: AtomicU64,
 }
 
 impl std::fmt::Debug for SymbolicKnowledge {
@@ -75,12 +66,12 @@ impl SymbolicKnowledge {
             views,
             si: si.root(),
             not_si,
-            memo: Mutex::new(HashMap::new()),
+            memo: Memo::new(
+                kpt_obs::counter!("bdd.knowledge.cache.hits"),
+                kpt_obs::counter!("bdd.knowledge.cache.misses"),
+                kpt_obs::counter!("bdd.knowledge.cache.evictions"),
+            ),
             memo_epoch: AtomicU64::new(epoch),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
         }
     }
 
@@ -128,30 +119,20 @@ impl SymbolicKnowledge {
         // the memo was filled, every entry is suspect — drop them all.
         let epoch = mgr.epoch();
         if self.memo_epoch.swap(epoch, Ordering::Relaxed) != epoch {
-            self.memo.lock().expect("knowledge memo poisoned").clear();
+            self.memo.clear();
         }
         let key = (view, p);
-        if let Some(&r) = self.memo.lock().expect("knowledge memo poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            kpt_obs::counter!("bdd.knowledge.cache.hits").incr();
+        if let Some(r) = self.memo.get(&key) {
             return r;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        kpt_obs::counter!("bdd.knowledge.cache.misses").incr();
         // wcyl.V.(SI ⇒ p): universally quantify the complement of the view.
         let hidden = self.space.space().all_vars().difference(view);
         let certain = mgr.implies(self.si, p);
         let wcyl = self.space.forall_vars_raw(mgr, certain, hidden.iter());
         let outside = mgr.or(wcyl, self.not_si);
         let r = mgr.and(p, outside);
-        let mut memo = self.memo.lock().expect("knowledge memo poisoned");
-        if memo.len() >= MEMO_CAP {
-            memo.clear();
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            kpt_obs::counter!("bdd.knowledge.cache.evictions").incr();
-        }
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        memo.insert(key, r);
+        // Values are unrooted, so whatever the memo drops needs no release.
+        self.memo.insert(key, r);
         r
     }
 
@@ -159,13 +140,7 @@ impl SymbolicKnowledge {
     /// insertions, so hit-rate arithmetic stays meaningful after
     /// clear-on-full or GC-epoch invalidation shrinks `entries`.
     pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            entries: self.memo.lock().expect("knowledge memo poisoned").len(),
-        }
+        self.memo.stats()
     }
 }
 
@@ -173,23 +148,7 @@ impl Drop for SymbolicKnowledge {
     fn drop(&mut self) {
         self.space.release_root(self.si);
         self.space.release_root(self.not_si);
-        if !kpt_obs::trace_enabled() {
-            return;
-        }
-        let stats = self.cache_stats();
-        if stats.hits + stats.misses == 0 {
-            return;
-        }
-        kpt_obs::event(
-            "bdd.cache.knowledge",
-            &[
-                ("hits", Field::U64(stats.hits)),
-                ("misses", Field::U64(stats.misses)),
-                ("evictions", Field::U64(stats.evictions)),
-                ("entries", Field::U64(stats.entries as u64)),
-                ("hit_ratio", Field::F64(stats.hit_ratio())),
-            ],
-        );
+        self.memo.report("bdd.cache.knowledge");
     }
 }
 
@@ -276,5 +235,26 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(after.hits, before.hits + 1);
         assert_eq!(after.misses, before.misses);
+    }
+
+    #[test]
+    fn a_gc_sweep_invalidates_the_memo_without_an_eviction() {
+        let (space, bdd, k) = setup();
+        let i = space.var("i").unwrap();
+        let j = space.var("j").unwrap();
+        let p = SymbolicPredicate::var_eq(&bdd, i, 1);
+        let view = space.var_set(["i"]).unwrap();
+        let first = k.knows_view(view, &p);
+        let before = k.cache_stats();
+        let epoch = bdd.gc_stats().epoch;
+        drop(SymbolicPredicate::var_eq(&bdd, j, 3));
+        bdd.gc_now();
+        assert!(bdd.gc_stats().epoch > epoch, "the sweep freed nothing");
+        let again = k.knows_view(view, &p);
+        let after = k.cache_stats();
+        assert_eq!(again, first);
+        assert_eq!(after.hits, before.hits);
+        assert_eq!(after.misses, before.misses + 1);
+        assert_eq!(after.evictions, before.evictions);
     }
 }

@@ -40,10 +40,10 @@
 //! The `ite` memo is invalidated GC-aware: a sweep purges exactly the
 //! entries that mention a freed node (the survivors are still canonical),
 //! and bumps an epoch counter so external memos holding unrooted ids
-//! (the knowledge memo, the KBP SI cache) can drop stale entries lazily.
-//! The workspace's clear-on-full convention (see `KnowledgeContext` in
-//! `kpt-core`) is kept only as a capacity backstop, and the churn stays
-//! observable through the `bdd.ite.cache.*` counters.
+//! (the symbolic knowledge memo) can drop stale entries lazily. The
+//! workspace's clear-on-full convention (see `kpt_obs::Memo`) is kept only
+//! as a capacity backstop, and the churn stays observable through the
+//! `bdd.ite.cache.*` counters.
 
 use std::collections::HashMap;
 

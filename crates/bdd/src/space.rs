@@ -398,7 +398,7 @@ impl BddSpace {
 }
 
 impl Drop for BddSpace {
-    /// Mirror of `KnowledgeContext`'s exit breadcrumb: if tracing is live
+    /// Mirror of the knowledge memos' exit breadcrumb: if tracing is live
     /// and the manager saw traffic, leave one `bdd.cache` event with the
     /// final node count and `ite` memo behaviour.
     fn drop(&mut self) {

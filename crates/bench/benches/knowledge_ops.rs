@@ -1,11 +1,11 @@
 //! E2/E3 bench: the knowledge operator `K_i` (eq. 13), everyone-knows,
 //! common knowledge (gfp) and distributed knowledge, across space sizes.
 
-use kpt_core::KnowledgeOperator;
+use kpt_core::KnowledgeContext;
 use kpt_state::{Predicate, StateSpace, VarSet};
 use kpt_testkit::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-fn setup(nvars: usize, dom: u64) -> (std::sync::Arc<StateSpace>, KnowledgeOperator, Predicate) {
+fn setup(nvars: usize, dom: u64) -> (std::sync::Arc<StateSpace>, KnowledgeContext, Predicate) {
     let mut b = StateSpace::builder();
     for i in 0..nvars {
         b = b.nat_var(&format!("v{i}"), dom).unwrap();
@@ -28,7 +28,7 @@ fn setup(nvars: usize, dom: u64) -> (std::sync::Arc<StateSpace>, KnowledgeOperat
     ];
     let si = Predicate::from_fn(&space, |s| s % 7 != 0);
     let p = Predicate::from_fn(&space, |s| s % 3 == 1);
-    let op = KnowledgeOperator::with_si(&space, views, si).unwrap();
+    let op = KnowledgeContext::new(&space, views, si).unwrap();
     (space, op, p)
 }
 

@@ -101,7 +101,7 @@ fn fixpoint_cases(c: &mut Criterion) {
 }
 
 fn knowledge_cases(c: &mut Criterion) {
-    use kpt_core::KnowledgeOperator;
+    use kpt_core::KnowledgeContext;
     use kpt_state::VarSet;
     let space = space_with_vars(8, 4);
     let views = vec![
@@ -113,12 +113,12 @@ fn knowledge_cases(c: &mut Criterion) {
     ];
     let si = Predicate::from_fn(&space, |s| s % 7 != 0);
     let p = Predicate::from_fn(&space, |s| s % 3 == 1);
-    let op = KnowledgeOperator::with_si(&space, views.clone(), si.clone()).unwrap();
+    let op = KnowledgeContext::new(&space, views.clone(), si.clone()).unwrap();
     let mut group = c.benchmark_group("knowledge");
     group.bench_function("knows_cold/65536states", |b| {
         b.iter(|| {
             // A fresh context every iteration: the unmemoized path.
-            let cold = KnowledgeOperator::with_si(&space, views.clone(), si.clone()).unwrap();
+            let cold = KnowledgeContext::new(&space, views.clone(), si.clone()).unwrap();
             cold.knows("P1", &p).unwrap()
         })
     });

@@ -386,7 +386,7 @@ fn run_bench() -> ExitCode {
         b.build().unwrap()
     }
     {
-        use kpt_core::KnowledgeOperator;
+        use kpt_core::KnowledgeContext;
         let mut group = c.benchmark_group("instrumented");
         group.sample_size(10);
 
@@ -400,7 +400,7 @@ fn run_bench() -> ExitCode {
         ];
         let si = Predicate::from_fn(&space, |s| s % 7 != 0);
         let p = Predicate::from_fn(&space, |s| s % 3 == 1);
-        let op = KnowledgeOperator::with_si(&space, views, si).unwrap();
+        let op = KnowledgeContext::new(&space, views, si).unwrap();
         let _ = op.knows("P1", &p).unwrap();
         group.bench_function("knows_warm/65536states", |b| {
             b.iter(|| op.knows("P1", &p).unwrap())

@@ -167,9 +167,9 @@ const MAX_THRESHOLD: f64 = 1.9;
 /// Compare two snapshots with a variance-aware threshold.
 ///
 /// For each case present in both, the threshold starts at
-/// [`BASE_THRESHOLD`] and widens with the observed sample spread —
+/// `BASE_THRESHOLD` and widens with the observed sample spread —
 /// `(median − min) / median` of whichever snapshot is noisier — capped at
-/// [`MAX_THRESHOLD`]. Wall-clock medians on shared CI runners routinely
+/// `MAX_THRESHOLD`. Wall-clock medians on shared CI runners routinely
 /// wobble ±30% on µs-scale cases; the spread term absorbs that without
 /// letting a genuine 2x slowdown through.
 #[must_use]

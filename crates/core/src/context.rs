@@ -1,4 +1,5 @@
-//! A shared, memoizing evaluation context for knowledge queries.
+//! The knowledge operator of eq. (13) as a shared, memoizing evaluation
+//! context.
 //!
 //! Evaluating a knowledge-based protocol touches the same ingredients over
 //! and over: the strongest invariant `SI`, its negation, the `wcyl`
@@ -9,27 +10,56 @@
 //! * `SI` and `¬SI` are fixed at construction;
 //! * the complement of each view (the variables `wcyl` sweeps over, eq. 6)
 //!   is interned per view together with a domain-size-sorted sweep order;
-//! * every `(view, p) ↦ K p` result is memoized, so re-evaluating a guard
-//!   across statements, or the repeated `E_G` applications inside the
-//!   common-knowledge greatest fixpoint, hit the cache.
+//! * every `(view, p) ↦ K p` result is memoized in a [`kpt_obs::Memo`], so
+//!   re-evaluating a guard across statements, or the repeated `E_G`
+//!   applications inside the common-knowledge greatest fixpoint, hit the
+//!   cache.
 //!
-//! [`crate::KnowledgeOperator`] is a thin handle over an
-//! `Arc<KnowledgeContext>`; the KBP solvers build one context per candidate
-//! invariant and share it across all guards of the program.
+//! The KBP solvers build one context per candidate invariant and share it
+//! across all guards of the program; callers that share one context across
+//! threads or passes hold an `Arc<KnowledgeContext>`.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use kpt_logic::EvalError;
-use kpt_obs::CacheStats;
+use kpt_logic::{EvalError, KnowledgeFn};
+use kpt_obs::{CacheStats, Memo};
 use kpt_state::{forall_var, Predicate, StateSpace, VarId, VarSet};
+use kpt_transformers::gfp;
 use kpt_unity::CompiledProgram;
 
 use crate::error::CoreError;
 
-/// Cached state for evaluating the knowledge operator of eq. (13) against a
-/// fixed strongest invariant and a fixed set of process views.
+/// The knowledge operator of eq. (13) for a fixed strongest invariant and a
+/// set of process views, with its intermediate results cached.
+///
+/// Construct from a compiled program ([`KnowledgeContext::for_program`]) —
+/// which uses the program's own `SI` — or with an explicit candidate `SI`
+/// ([`KnowledgeContext::new`]), which is how the KBP solver evaluates
+/// knowledge guards against candidate invariants (eq. 25).
+///
+/// # Examples
+/// ```
+/// use kpt_core::KnowledgeContext;
+/// use kpt_state::{Predicate, StateSpace};
+/// use kpt_unity::{Program, Statement};
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let space = StateSpace::builder().bool_var("a")?.bool_var("b")?.build()?;
+/// let program = Program::builder("p", &space)
+///     .init_str("~a /\\ ~b")?
+///     .process("P", ["a"])?
+///     // b is set together with a, but P sees only a:
+///     .statement(Statement::new("s").guard_str("~a")?.assign_str("a", "1")?.assign_str("b", "1")?)
+///     .build()?
+///     .compile()?;
+/// let k = KnowledgeContext::for_program(&program);
+/// let b = Predicate::var_is_true(&space, space.var("b")?);
+/// // Seeing a=true tells P that b=true (they change together):
+/// let a = Predicate::var_is_true(&space, space.var("a")?);
+/// assert!(program.si().and(&a).entails(&k.knows("P", &b)?));
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug)]
 pub struct KnowledgeContext {
     space: Arc<StateSpace>,
@@ -40,22 +70,8 @@ pub struct KnowledgeContext {
     /// ascending domain size (cheapest word-parallel passes first).
     orders: Mutex<HashMap<VarSet, Arc<[VarId]>>>,
     /// Memoized `K p` results keyed by `(view, p)`.
-    memo: Mutex<HashMap<(VarSet, Predicate), Predicate>>,
-    /// Entry cap for `memo`; reaching it clears the whole map (matching the
-    /// solver's `SiCache` policy — predicates dominate the footprint and a
-    /// full clear keeps the bookkeeping at one branch per insert).
-    memo_cap: AtomicUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    inserts: AtomicU64,
+    memo: Memo<(VarSet, Predicate), Predicate>,
 }
-
-/// Default [`KnowledgeContext`] memo capacity. Each entry pins two
-/// predicates (key and result), so at the default cap a 2^16-state space
-/// holds at worst ~64 MiB of memo — ample for every workload in the tree
-/// while still bounding adversarial query streams.
-pub const DEFAULT_MEMO_CAP: usize = 4096;
 
 impl KnowledgeContext {
     /// Build a context with an explicit (candidate) strongest invariant.
@@ -89,12 +105,11 @@ impl KnowledgeContext {
             si,
             not_si,
             orders: Mutex::new(HashMap::new()),
-            memo: Mutex::new(HashMap::new()),
-            memo_cap: AtomicUsize::new(DEFAULT_MEMO_CAP),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
+            memo: Memo::new(
+                kpt_obs::counter!("knowledge.cache.hits"),
+                kpt_obs::counter!("knowledge.cache.misses"),
+                kpt_obs::counter!("knowledge.cache.evictions"),
+            ),
         };
         // Seed the sweep orders for the declared process views up front.
         for (_, view) in ctx.views.clone() {
@@ -170,13 +185,9 @@ impl KnowledgeContext {
     #[must_use]
     pub fn knows_view(&self, view: VarSet, p: &Predicate) -> Predicate {
         let key = (view, p.clone());
-        if let Some(hit) = self.memo.lock().expect("knowledge memo poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            kpt_obs::counter!("knowledge.cache.hits").incr();
-            return hit.clone();
+        if let Some(hit) = self.memo.get(&key) {
+            return hit;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        kpt_obs::counter!("knowledge.cache.misses").incr();
         let order = self.sweep_order(view);
         let mut cylinder = self.si.implies(p);
         for &v in order.iter() {
@@ -184,18 +195,10 @@ impl KnowledgeContext {
         }
         cylinder.or_assign(&self.not_si);
         cylinder.and_assign(p);
-        // Clear-on-full: reaching the cap empties the memo first.
-        let mut memo = self.memo.lock().expect("knowledge memo poisoned");
-        if memo.len() >= self.memo_cap.load(Ordering::Relaxed) {
-            memo.clear();
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            kpt_obs::counter!("knowledge.cache.evictions").incr();
-        }
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        memo.insert(key, cylinder.clone());
+        self.memo.insert(key, cylinder.clone());
         // Resource gauge: the live entry count, refreshed on the only path
-        // that changes it upward and reset to zero by clear-on-full above.
-        kpt_obs::gauge!("knowledge.cache.entries").set(memo.len() as u64);
+        // that changes it upward.
+        kpt_obs::gauge!("knowledge.cache.entries").set(self.memo.stats().entries as u64);
         cylinder
     }
 
@@ -218,41 +221,67 @@ impl KnowledgeContext {
             .collect()
     }
 
-    /// `(cache hits, cache misses)` of the `K p` memo so far.
-    pub fn cache_counters(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+    /// Everyone-in-`group` knows: `E_G p = (∀ i ∈ G :: K_i p)`. Repeated
+    /// applications inside the `C_G` fixpoint hit the memo.
+    ///
+    /// # Errors
+    /// [`EvalError::UnknownProcess`] for undeclared names.
+    pub fn everyone(&self, group: &[&str], p: &Predicate) -> Result<Predicate, EvalError> {
+        let mut out = Predicate::tt(&self.space);
+        for proc in group {
+            out.and_assign(&self.knows(proc, p)?);
+        }
+        Ok(out)
+    }
+
+    /// Common knowledge `C_G p`: the greatest fixpoint of
+    /// `X ↦ E_G(p ∧ X)` — everyone knows `p`, everyone knows that everyone
+    /// knows, and so on (the §3 extension the paper notes "can easily be
+    /// added").
+    ///
+    /// # Errors
+    /// [`EvalError::UnknownProcess`] for undeclared names.
+    pub fn common(&self, group: &[&str], p: &Predicate) -> Result<Predicate, EvalError> {
+        let mut err = None;
+        let result = gfp(&self.space, |x| match self.everyone(group, &p.and(x)) {
+            Ok(r) => r,
+            Err(e) => {
+                err = Some(e);
+                Predicate::ff(&self.space)
+            }
+        });
+        if let Some(e) = err {
+            return Err(e);
+        }
+        Ok(result
+            .expect("E_G is monotonic, so the gfp iteration converges")
+            .0)
+    }
+
+    /// Distributed knowledge `D_G p`: what the group would know by pooling
+    /// views — eq. (13) evaluated at the *union* of the group's views.
+    ///
+    /// # Errors
+    /// [`EvalError::UnknownProcess`] for undeclared names.
+    pub fn distributed(&self, group: &[&str], p: &Predicate) -> Result<Predicate, EvalError> {
+        let mut view = VarSet::EMPTY;
+        for proc in group {
+            view = view.union(self.view(proc)?);
+        }
+        Ok(self.knows_view(view, p))
+    }
+
+    /// This context as a [`KnowledgeFn`] suitable for
+    /// [`kpt_logic::EvalContext::with_knowledge`] and
+    /// [`kpt_unity::Program::compile_with_knowledge`].
+    pub fn knowledge_fn(&self) -> Box<KnowledgeFn<'_>> {
+        Box::new(move |process: &str, p: &Predicate| self.knows(process, p))
     }
 
     /// Full cache behaviour of the `K p` memo: hits, misses, clear-on-full
-    /// evictions, lifetime inserts, and the current entry count. `inserts`
-    /// is not reset by an eviction, so hit-rate reporting can use totals
-    /// rather than the post-clear map size.
+    /// evictions, lifetime inserts, and the current entry count.
     pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            entries: self.memo.lock().expect("knowledge memo poisoned").len(),
-        }
-    }
-
-    /// Override the memo's entry cap (default [`DEFAULT_MEMO_CAP`]).
-    /// Reaching the cap clears the memo and counts one eviction.
-    ///
-    /// # Panics
-    /// Panics if `cap == 0` — a capless memo would evict on every insert.
-    pub fn set_memo_cap(&self, cap: usize) {
-        assert!(cap > 0, "memo cap must be positive");
-        self.memo_cap.store(cap, Ordering::Relaxed);
-    }
-
-    /// Number of distinct `(view, p)` queries memoized.
-    pub fn cached_queries(&self) -> usize {
-        self.memo.lock().expect("knowledge memo poisoned").len()
+        self.memo.stats()
     }
 }
 
@@ -261,23 +290,7 @@ impl Drop for KnowledgeContext {
         // A context's lifetime brackets one knowledge workload (one
         // candidate invariant in the solvers); its drop is the natural
         // moment to flush cache behaviour into the trace.
-        if !kpt_obs::trace_enabled() {
-            return;
-        }
-        let stats = self.cache_stats();
-        if stats.hits + stats.misses == 0 {
-            return;
-        }
-        kpt_obs::event(
-            "cache.knowledge",
-            &[
-                ("hits", kpt_obs::Field::U64(stats.hits)),
-                ("misses", kpt_obs::Field::U64(stats.misses)),
-                ("evictions", kpt_obs::Field::U64(stats.evictions)),
-                ("entries", kpt_obs::Field::U64(stats.entries as u64)),
-                ("hit_ratio", kpt_obs::Field::F64(stats.hit_ratio())),
-            ],
-        );
+        self.memo.report("cache.knowledge");
     }
 }
 
@@ -343,51 +356,11 @@ mod tests {
         let first = ctx.knows("A", &p).unwrap();
         let again = ctx.knows("A", &p).unwrap();
         assert_eq!(first, again);
-        let (hits, misses) = ctx.cache_counters();
-        assert_eq!((hits, misses), (1, 1));
-        assert_eq!(ctx.cached_queries(), 1);
+        let st = ctx.cache_stats();
+        assert_eq!((st.hits, st.misses, st.entries), (1, 1, 1));
         // A different view of the same predicate is a separate entry.
         let _ = ctx.knows("AB", &p).unwrap();
-        assert_eq!(ctx.cached_queries(), 2);
-    }
-
-    #[test]
-    fn cache_stats_track_hit_miss_and_eviction_transitions() {
-        let s = space();
-        let ctx = KnowledgeContext::new(&s, views(&s), Predicate::tt(&s)).unwrap();
-        ctx.set_memo_cap(2);
-        let v = s.var_set(["a"]).unwrap();
-        let p0 = Predicate::from_fn(&s, |i| i % 2 == 0);
-        let p1 = Predicate::from_fn(&s, |i| i % 3 == 0);
-        let p2 = Predicate::from_fn(&s, |i| i % 5 == 0);
-        assert_eq!(ctx.cache_stats(), CacheStats::default());
-
-        // First query: one miss, one entry.
-        let _ = ctx.knows_view(v, &p0);
-        let st = ctx.cache_stats();
-        assert_eq!((st.hits, st.misses, st.evictions, st.entries), (0, 1, 0, 1));
-
-        // Repeat: pure hit, nothing else moves.
-        let _ = ctx.knows_view(v, &p0);
-        let st = ctx.cache_stats();
-        assert_eq!((st.hits, st.misses, st.evictions, st.entries), (1, 1, 0, 1));
-        assert!((st.hit_ratio() - 0.5).abs() < 1e-12);
-
-        // Fill to the cap...
-        let _ = ctx.knows_view(v, &p1);
         assert_eq!(ctx.cache_stats().entries, 2);
-        // ...and one more distinct query clears the memo (one eviction).
-        let _ = ctx.knows_view(v, &p2);
-        let st = ctx.cache_stats();
-        assert_eq!((st.hits, st.misses, st.evictions, st.entries), (1, 3, 1, 1));
-
-        // The evicted entry is a miss again.
-        let _ = ctx.knows_view(v, &p0);
-        let st = ctx.cache_stats();
-        assert_eq!((st.hits, st.misses, st.evictions, st.entries), (1, 4, 1, 2));
-        // Lifetime inserts survive the clear: four misses, four inserts,
-        // even though only two entries remain after the eviction.
-        assert_eq!(st.inserts, 4);
     }
 
     #[test]
@@ -428,9 +401,10 @@ mod tests {
         assert_eq!(ctx.knows_all(&p), expect);
         // knows_all filled the memo: a follow-up query is a pure hit.
         for (_, view) in views(&s) {
-            let (hits, misses) = ctx.cache_counters();
+            let before = ctx.cache_stats();
             let _ = ctx.knows_view(view, &p);
-            assert_eq!(ctx.cache_counters(), (hits + 1, misses));
+            let after = ctx.cache_stats();
+            assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses));
         }
     }
 }

@@ -27,46 +27,16 @@
 //!   converges (the result is verified), inconclusive otherwise.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
+use kpt_obs::{CacheStats, Memo};
 use kpt_state::{Predicate, VarSet};
 use kpt_transformers::iterate_to_fixpoint;
 pub use kpt_transformers::IterativeOutcome;
 use kpt_unity::{CompiledProgram, Program};
 
+use crate::context::KnowledgeContext;
 use crate::error::CoreError;
-use crate::knowledge::KnowledgeOperator;
-
-/// Upper bound on memoized `candidate ↦ SI` pairs (exhaustive search over
-/// many free states would otherwise grow the cache exponentially). When
-/// the cap is reached the cache is *cleared* and refilled (clear-on-full)
-/// rather than freezing, so long iterative runs keep their recent working
-/// set memoized; [`Kbp::cache_counters`] makes the churn observable.
-const SI_CACHE_CAP: usize = 4096;
-
-/// The memo plus its observability counters, all under one lock.
-#[derive(Debug, Clone, Default)]
-struct SiCache {
-    map: HashMap<Predicate, Predicate>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    inserts: u64,
-}
-
-impl SiCache {
-    /// Insert with clear-on-full eviction.
-    fn insert(&mut self, candidate: Predicate, si: Predicate) {
-        if self.map.len() >= SI_CACHE_CAP {
-            self.map.clear();
-            self.evictions += 1;
-            kpt_obs::counter!("kbp.si_cache.evictions").incr();
-        }
-        self.inserts += 1;
-        self.map.insert(candidate, si);
-    }
-}
 
 /// A knowledge-based protocol: a UNITY [`Program`] whose guards may mention
 /// knowledge, together with the eq. (25) solution machinery.
@@ -75,28 +45,19 @@ impl SiCache {
 /// taking its strongest invariant — is the solver's unit of work; results
 /// are memoized per candidate, so the cycle-detection replays of
 /// [`Kbp::solve_iterative`] and repeated [`Kbp::is_solution`] probes are
-/// answered from cache. A knowledge-free guard denotes the same predicate
-/// at every candidate, so it is evaluated once, by the first
+/// answered from cache. The memo is a [`kpt_obs::Memo`]: clear-on-full at
+/// [`kpt_obs::MEMO_CAP`] entries, so exhaustive search over many free
+/// states cannot grow it without bound. A knowledge-free guard denotes the
+/// same predicate at every candidate, so it is evaluated once, by the first
 /// [`Kbp::compile_at`], and kept.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Kbp {
     program: Program,
     views: Vec<(String, VarSet)>,
     /// Per statement, its knowledge-free guard (`None` for a knowledge
     /// guard); filled by the first [`Kbp::compile_at`] that compiles.
     static_guards: OnceLock<Vec<Option<Predicate>>>,
-    si_cache: Mutex<SiCache>,
-}
-
-impl Clone for Kbp {
-    fn clone(&self) -> Self {
-        Kbp {
-            program: self.program.clone(),
-            views: self.views.clone(),
-            static_guards: self.static_guards.clone(),
-            si_cache: Mutex::new(self.si_cache.lock().expect("SI cache poisoned").clone()),
-        }
-    }
+    si_cache: Memo<Predicate, Predicate>,
 }
 
 impl Kbp {
@@ -113,7 +74,11 @@ impl Kbp {
             program,
             views,
             static_guards: OnceLock::new(),
-            si_cache: Mutex::new(SiCache::default()),
+            si_cache: Memo::new(
+                kpt_obs::counter!("kbp.si_cache.hits"),
+                kpt_obs::counter!("kbp.si_cache.misses"),
+                kpt_obs::counter!("kbp.si_cache.evictions"),
+            ),
         }
     }
 
@@ -144,8 +109,8 @@ impl Kbp {
         let mut span = kpt_obs::span("solver.compile_at");
         // One shared knowledge context per candidate: every knowledge guard
         // evaluates its K{i} subterms through the same memo.
-        let op = KnowledgeOperator::with_si(self.program.space(), self.views.clone(), x.clone())?;
-        let f = op.knowledge_fn();
+        let ctx = KnowledgeContext::new(self.program.space(), self.views.clone(), x.clone())?;
+        let f = ctx.knowledge_fn();
         let space = self.program.space();
         let cached = self.static_guards.get();
         let (mut reused, mut evaluated) = (0u64, 0u64);
@@ -198,55 +163,18 @@ impl Kbp {
     /// # Errors
     /// Compilation errors.
     pub fn iterate(&self, x: &Predicate) -> Result<Predicate, CoreError> {
-        {
-            let mut cache = self.si_cache.lock().expect("SI cache poisoned");
-            if let Some(si) = cache.map.get(x).cloned() {
-                cache.hits += 1;
-                kpt_obs::counter!("kbp.si_cache.hits").incr();
-                return Ok(si);
-            }
-            cache.misses += 1;
-            kpt_obs::counter!("kbp.si_cache.misses").incr();
+        if let Some(si) = self.si_cache.get(x) {
+            return Ok(si);
         }
         let si = self.compile_at(x)?.si().clone();
-        self.si_cache
-            .lock()
-            .expect("SI cache poisoned")
-            .insert(x.clone(), si.clone());
+        self.si_cache.insert(x.clone(), si.clone());
         Ok(si)
     }
 
-    /// Number of memoized `candidate ↦ SI` evaluations.
-    pub fn cached_candidates(&self) -> usize {
-        self.si_cache.lock().expect("SI cache poisoned").map.len()
-    }
-
-    /// `(cache hits, cache misses)` of the `candidate ↦ SI` memo so far
-    /// (mirrors [`crate::KnowledgeContext::cache_counters`]). A growing
-    /// miss count with a stable [`Kbp::cached_candidates`] signals
-    /// clear-on-full churn; see [`Kbp::cache_evictions`].
-    pub fn cache_counters(&self) -> (u64, u64) {
-        let cache = self.si_cache.lock().expect("SI cache poisoned");
-        (cache.hits, cache.misses)
-    }
-
-    /// How many times the `candidate ↦ SI` memo was cleared because it
-    /// reached capacity.
-    pub fn cache_evictions(&self) -> u64 {
-        self.si_cache.lock().expect("SI cache poisoned").evictions
-    }
-
     /// Full cache behaviour of the `candidate ↦ SI` memo, in the same
-    /// shape as [`crate::KnowledgeContext::cache_stats`].
-    pub fn cache_stats(&self) -> kpt_obs::CacheStats {
-        let cache = self.si_cache.lock().expect("SI cache poisoned");
-        kpt_obs::CacheStats {
-            hits: cache.hits,
-            misses: cache.misses,
-            evictions: cache.evictions,
-            inserts: cache.inserts,
-            entries: cache.map.len(),
-        }
+    /// shape as [`KnowledgeContext::cache_stats`].
+    pub fn cache_stats(&self) -> CacheStats {
+        self.si_cache.stats()
     }
 
     /// Complete enumeration of all solutions, over candidates
@@ -425,6 +353,7 @@ impl SolutionSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kpt_obs::MEMO_CAP;
     use kpt_state::StateSpace;
     use kpt_unity::{Program, Statement};
 
@@ -563,25 +492,25 @@ mod tests {
         let kbp = Kbp::new(program);
         let x = kbp.program().init().clone();
         let first = kbp.iterate(&x).unwrap();
-        assert_eq!(kbp.cached_candidates(), 1);
+        assert_eq!(kbp.cache_stats().entries, 1);
         // Second evaluation of the same candidate is served from cache and
         // adds no entry.
         assert_eq!(kbp.iterate(&x).unwrap(), first);
-        assert_eq!(kbp.cached_candidates(), 1);
+        assert_eq!(kbp.cache_stats().entries, 1);
         // is_solution rides the same cache.
         assert!(kbp.is_solution(&first).unwrap());
-        assert_eq!(kbp.cached_candidates(), 2);
+        assert_eq!(kbp.cache_stats().entries, 2);
         // with_init starts fresh (the equation changed).
         let other = kbp.with_init(first);
-        assert_eq!(other.cached_candidates(), 0);
+        assert_eq!(other.cache_stats().entries, 0);
     }
 
     /// The error a full compile at `x` reports: every guard evaluated
     /// through `compile_with_knowledge`.
     fn full_compile_error(kbp: &Kbp, x: &Predicate) -> CoreError {
-        let op = KnowledgeOperator::with_si(kbp.program().space(), kbp.views.clone(), x.clone())
-            .unwrap();
-        let f = op.knowledge_fn();
+        let ctx =
+            KnowledgeContext::new(kbp.program().space(), kbp.views.clone(), x.clone()).unwrap();
+        let f = ctx.knowledge_fn();
         CoreError::from(
             kbp.program()
                 .compile_with_knowledge(f.as_ref())
@@ -725,7 +654,7 @@ mod tests {
     }
 
     /// Regression: the memo used to stop *admitting* entries once it hit
-    /// `SI_CACHE_CAP`, silently disabling memoization for the rest of a
+    /// its cap, silently disabling memoization for the rest of a
     /// long run. Clear-on-full keeps admitting, and the counters expose
     /// the churn.
     #[test]
@@ -742,23 +671,23 @@ mod tests {
             .build()
             .unwrap();
         let kbp = Kbp::new(program);
-        // 2^13 = 8192 distinct masks available > SI_CACHE_CAP = 4096;
+        // 2^13 = 8192 distinct masks available > MEMO_CAP = 4096;
         // drive exactly one candidate past the cap.
         let candidate_at = |m: u64| Predicate::from_fn(&space, |i| m >> i & 1 == 1);
-        for m in 0..=SI_CACHE_CAP as u64 {
+        for m in 0..=MEMO_CAP as u64 {
             kbp.iterate(&candidate_at(m)).unwrap();
         }
         // The overflowing insert cleared the cache and kept admitting.
-        assert_eq!(kbp.cache_evictions(), 1);
-        assert!(kbp.cached_candidates() >= 1);
-        assert!(kbp.cached_candidates() < SI_CACHE_CAP);
+        let st = kbp.cache_stats();
+        assert_eq!(st.evictions, 1);
+        assert!(st.entries >= 1);
+        assert!(st.entries < MEMO_CAP);
         // Fresh entries still memoize: re-querying the most recent
         // candidate is a hit, not a recomputation.
-        let (hits_before, misses_before) = kbp.cache_counters();
-        kbp.iterate(&candidate_at(SI_CACHE_CAP as u64)).unwrap();
-        let (hits_after, misses_after) = kbp.cache_counters();
-        assert_eq!(hits_after, hits_before + 1);
-        assert_eq!(misses_after, misses_before);
+        kbp.iterate(&candidate_at(MEMO_CAP as u64)).unwrap();
+        let after = kbp.cache_stats();
+        assert_eq!(after.hits, st.hits + 1);
+        assert_eq!(after.misses, st.misses);
     }
 
     #[test]

@@ -13,210 +13,45 @@
 //!
 //! — on reachable states this is `wcyl.vars_i.(SI ⇒ p)`; on unreachable
 //! states it is (by convention) just `p`.
+//!
+//! The operator itself is [`KnowledgeContext`]; this module holds its
+//! [`Transformer`] view and the tests of the theory.
 
 use std::sync::Arc;
 
-use kpt_logic::{EvalError, KnowledgeFn};
+use kpt_logic::EvalError;
 use kpt_state::{Predicate, StateSpace, VarSet};
-use kpt_transformers::{gfp, Transformer};
-use kpt_unity::CompiledProgram;
+use kpt_transformers::Transformer;
 
 use crate::context::KnowledgeContext;
-use crate::error::CoreError;
-
-/// The knowledge operator of eq. (13) for a fixed strongest invariant and a
-/// set of process views.
-///
-/// Construct from a compiled program ([`KnowledgeOperator::for_program`]) —
-/// which uses the program's own `SI` — or with an explicit candidate `SI`
-/// ([`KnowledgeOperator::with_si`]), which is how the KBP solver evaluates
-/// knowledge guards against candidate invariants (eq. 25).
-///
-/// # Examples
-/// ```
-/// use kpt_core::KnowledgeOperator;
-/// use kpt_state::{Predicate, StateSpace};
-/// use kpt_unity::{Program, Statement};
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let space = StateSpace::builder().bool_var("a")?.bool_var("b")?.build()?;
-/// let program = Program::builder("p", &space)
-///     .init_str("~a /\\ ~b")?
-///     .process("P", ["a"])?
-///     // b is set together with a, but P sees only a:
-///     .statement(Statement::new("s").guard_str("~a")?.assign_str("a", "1")?.assign_str("b", "1")?)
-///     .build()?
-///     .compile()?;
-/// let k = KnowledgeOperator::for_program(&program);
-/// let b = Predicate::var_is_true(&space, space.var("b")?);
-/// // Seeing a=true tells P that b=true (they change together):
-/// let a = Predicate::var_is_true(&space, space.var("a")?);
-/// assert!(program.si().and(&a).entails(&k.knows("P", &b)?));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct KnowledgeOperator {
-    ctx: Arc<KnowledgeContext>,
-}
-
-impl KnowledgeOperator {
-    /// Build from a compiled program: views are its declared processes,
-    /// `SI` is its strongest invariant.
-    pub fn for_program(program: &CompiledProgram) -> Self {
-        KnowledgeOperator {
-            ctx: Arc::new(KnowledgeContext::for_program(program)),
-        }
-    }
-
-    /// Build with an explicit (candidate) strongest invariant.
-    ///
-    /// # Errors
-    /// [`CoreError::ViewOutsideSpace`] when a view names variables absent
-    /// from `space` (see [`KnowledgeContext::new`]).
-    pub fn with_si(
-        space: &Arc<StateSpace>,
-        views: Vec<(String, VarSet)>,
-        si: Predicate,
-    ) -> Result<Self, CoreError> {
-        Ok(KnowledgeOperator {
-            ctx: Arc::new(KnowledgeContext::new(space, views, si)?),
-        })
-    }
-
-    /// Wrap an existing shared context.
-    pub fn from_context(ctx: Arc<KnowledgeContext>) -> Self {
-        KnowledgeOperator { ctx }
-    }
-
-    /// The shared evaluation context (caches `SI`, `¬SI`, sweep orders and
-    /// memoized `K p` results).
-    pub fn context(&self) -> &Arc<KnowledgeContext> {
-        &self.ctx
-    }
-
-    /// The strongest invariant knowledge is evaluated against.
-    pub fn si(&self) -> &Predicate {
-        self.ctx.si()
-    }
-
-    /// The view of a named process.
-    ///
-    /// # Errors
-    /// [`EvalError::UnknownProcess`] for undeclared names.
-    pub fn view(&self, process: &str) -> Result<VarSet, EvalError> {
-        self.ctx.view(process)
-    }
-
-    /// `K_i p` by eq. (13), for the view of a named process.
-    ///
-    /// # Errors
-    /// [`EvalError::UnknownProcess`] for undeclared names.
-    pub fn knows(&self, process: &str, p: &Predicate) -> Result<Predicate, EvalError> {
-        self.ctx.knows(process, p)
-    }
-
-    /// `K p` by eq. (13) for an explicit view:
-    /// `p ∧ (wcyl.V.(SI ⇒ p) ∨ ¬SI)`. Memoized in the context.
-    #[must_use]
-    pub fn knows_view(&self, view: VarSet, p: &Predicate) -> Predicate {
-        self.ctx.knows_view(view, p)
-    }
-
-    /// `K_i p` for every declared view, memoized in the shared context
-    /// (see [`KnowledgeContext::knows_all`]). Guard compilation and the
-    /// group-knowledge fixpoints are answered from the memo this fills.
-    #[must_use]
-    pub fn knows_all(&self, p: &Predicate) -> Vec<(String, Predicate)> {
-        self.ctx.knows_all(p)
-    }
-
-    /// Everyone-in-`group` knows: `E_G p = (∀ i ∈ G :: K_i p)`. Repeated
-    /// applications inside the `C_G` fixpoint hit the shared memo.
-    ///
-    /// # Errors
-    /// [`EvalError::UnknownProcess`] for undeclared names.
-    pub fn everyone(&self, group: &[&str], p: &Predicate) -> Result<Predicate, EvalError> {
-        let mut out = Predicate::tt(self.ctx.space());
-        for proc in group {
-            out.and_assign(&self.knows(proc, p)?);
-        }
-        Ok(out)
-    }
-
-    /// Common knowledge `C_G p`: the greatest fixpoint of
-    /// `X ↦ E_G(p ∧ X)` — everyone knows `p`, everyone knows that everyone
-    /// knows, and so on (the §3 extension the paper notes "can easily be
-    /// added").
-    ///
-    /// # Errors
-    /// [`EvalError::UnknownProcess`] for undeclared names.
-    pub fn common(&self, group: &[&str], p: &Predicate) -> Result<Predicate, EvalError> {
-        let mut err = None;
-        let result = gfp(self.ctx.space(), |x| {
-            match self.everyone(group, &p.and(x)) {
-                Ok(r) => r,
-                Err(e) => {
-                    err = Some(e);
-                    Predicate::ff(self.ctx.space())
-                }
-            }
-        });
-        if let Some(e) = err {
-            return Err(e);
-        }
-        Ok(result
-            .expect("E_G is monotonic, so the gfp iteration converges")
-            .0)
-    }
-
-    /// Distributed knowledge `D_G p`: what the group would know by pooling
-    /// views — eq. (13) evaluated at the *union* of the group's views.
-    ///
-    /// # Errors
-    /// [`EvalError::UnknownProcess`] for undeclared names.
-    pub fn distributed(&self, group: &[&str], p: &Predicate) -> Result<Predicate, EvalError> {
-        let mut view = VarSet::EMPTY;
-        for proc in group {
-            view = view.union(self.view(proc)?);
-        }
-        Ok(self.knows_view(view, p))
-    }
-
-    /// This operator as a [`KnowledgeFn`] suitable for
-    /// [`kpt_logic::EvalContext::with_knowledge`] and
-    /// [`kpt_unity::Program::compile_with_knowledge`].
-    pub fn knowledge_fn(&self) -> Box<KnowledgeFn<'_>> {
-        Box::new(move |process: &str, p: &Predicate| self.knows(process, p))
-    }
-}
 
 /// `K_i` as a [`Transformer`] (for a fixed process), for junctivity
 /// analysis — the paper's (19), (21), (22).
 pub struct KnowsTransformer<'a> {
-    op: &'a KnowledgeOperator,
+    ctx: &'a KnowledgeContext,
     view: VarSet,
 }
 
 impl<'a> KnowsTransformer<'a> {
-    /// The transformer `K_process` of `op`.
+    /// The transformer `K_process` of `ctx`.
     ///
     /// # Errors
     /// [`EvalError::UnknownProcess`] for undeclared names.
-    pub fn new(op: &'a KnowledgeOperator, process: &str) -> Result<Self, EvalError> {
+    pub fn new(ctx: &'a KnowledgeContext, process: &str) -> Result<Self, EvalError> {
         Ok(KnowsTransformer {
-            op,
-            view: op.view(process)?,
+            ctx,
+            view: ctx.view(process)?,
         })
     }
 }
 
 impl Transformer for KnowsTransformer<'_> {
     fn space(&self) -> &Arc<StateSpace> {
-        self.op.ctx.space()
+        self.ctx.space()
     }
 
     fn apply(&self, p: &Predicate) -> Predicate {
-        self.op.knows_view(self.view, p)
+        self.ctx.knows_view(self.view, p)
     }
 
     fn name(&self) -> &str {
@@ -231,7 +66,7 @@ mod tests {
         check_finitely_disjunctive, check_monotonic, check_universally_conjunctive, Strategy,
         Verdict,
     };
-    use kpt_unity::{Program, Statement};
+    use kpt_unity::{CompiledProgram, Program, Statement};
 
     /// A two-process program: P0 sees {a}, P1 sees {a, b}. One statement
     /// couples a and b; another toggles b alone (so P0 genuinely cannot
@@ -285,7 +120,7 @@ mod tests {
     fn eq14_knowledge_is_truthful() {
         // [K_i p ⇒ p]
         let c = program();
-        let k = KnowledgeOperator::for_program(&c);
+        let k = KnowledgeContext::for_program(&c);
         for p in all_preds(c.space()) {
             for proc in ["P0", "P1"] {
                 assert!(k.knows(proc, &p).unwrap().entails(&p));
@@ -297,7 +132,7 @@ mod tests {
     fn eq15_distribution_axiom() {
         // [(K_i p ∧ K_i (p ⇒ q)) ⇒ K_i q]
         let c = program();
-        let k = KnowledgeOperator::for_program(&c);
+        let k = KnowledgeContext::for_program(&c);
         let preds: Vec<_> = all_preds(c.space()).collect();
         for p in &preds {
             for q in &preds {
@@ -315,7 +150,7 @@ mod tests {
     fn eq16_positive_introspection() {
         // [K_i p ≡ K_i K_i p]
         let c = program();
-        let k = KnowledgeOperator::for_program(&c);
+        let k = KnowledgeContext::for_program(&c);
         for p in all_preds(c.space()) {
             for proc in ["P0", "P1"] {
                 let kp = k.knows(proc, &p).unwrap();
@@ -328,7 +163,7 @@ mod tests {
     fn eq17_negative_introspection() {
         // [¬K_i p ≡ K_i ¬K_i p]
         let c = program();
-        let k = KnowledgeOperator::for_program(&c);
+        let k = KnowledgeContext::for_program(&c);
         for p in all_preds(c.space()) {
             for proc in ["P0", "P1"] {
                 let nkp = k.knows(proc, &p).unwrap().negate();
@@ -341,7 +176,7 @@ mod tests {
     fn eq18_necessitation() {
         // [p] ⇒ [K_i p]
         let c = program();
-        let k = KnowledgeOperator::for_program(&c);
+        let k = KnowledgeContext::for_program(&c);
         let tt = Predicate::tt(c.space());
         for proc in ["P0", "P1"] {
             assert!(k.knows(proc, &tt).unwrap().everywhere());
@@ -351,7 +186,7 @@ mod tests {
     #[test]
     fn eq19_monotonic_in_p() {
         let c = program();
-        let k = KnowledgeOperator::for_program(&c);
+        let k = KnowledgeContext::for_program(&c);
         for proc in ["P0", "P1"] {
             let t = KnowsTransformer::new(&k, proc).unwrap();
             assert_eq!(check_monotonic(&t, Strategy::Exhaustive), Verdict::Holds);
@@ -374,10 +209,9 @@ mod tests {
                 if !si_small.entails(si_big) {
                     continue;
                 }
-                let k_big =
-                    KnowledgeOperator::with_si(&space, views.clone(), si_big.clone()).unwrap();
+                let k_big = KnowledgeContext::new(&space, views.clone(), si_big.clone()).unwrap();
                 let k_small =
-                    KnowledgeOperator::with_si(&space, views.clone(), si_small.clone()).unwrap();
+                    KnowledgeContext::new(&space, views.clone(), si_small.clone()).unwrap();
                 for p in preds.iter().step_by(7) {
                     let kb = k_big.knows("P0", p).unwrap();
                     let ks = k_small.knows("P0", p).unwrap();
@@ -391,7 +225,7 @@ mod tests {
     #[test]
     fn eq21_universally_conjunctive() {
         let c = program();
-        let k = KnowledgeOperator::for_program(&c);
+        let k = KnowledgeContext::for_program(&c);
         for proc in ["P0", "P1"] {
             let t = KnowsTransformer::new(&k, proc).unwrap();
             assert_eq!(
@@ -404,7 +238,7 @@ mod tests {
     #[test]
     fn eq22_not_disjunctive() {
         let c = program();
-        let k = KnowledgeOperator::for_program(&c);
+        let k = KnowledgeContext::for_program(&c);
         let t = KnowsTransformer::new(&k, "P0").unwrap();
         assert!(!check_finitely_disjunctive(&t, Strategy::Exhaustive).passed());
     }
@@ -412,7 +246,7 @@ mod tests {
     #[test]
     fn eq23_invariant_p_iff_invariant_kp() {
         let c = program();
-        let k = KnowledgeOperator::for_program(&c);
+        let k = KnowledgeContext::for_program(&c);
         for p in all_preds(c.space()) {
             for proc in ["P0", "P1"] {
                 let kp = k.knows(proc, &p).unwrap();
@@ -426,7 +260,7 @@ mod tests {
         // If q depends only on vars_i:
         // invariant (q ⇒ p)  ≡  invariant (q ⇒ K_i p).
         let c = program();
-        let k = KnowledgeOperator::for_program(&c);
+        let k = KnowledgeContext::for_program(&c);
         let space = c.space().clone();
         let preds: Vec<_> = all_preds(&space).collect();
         for proc in ["P0", "P1"] {
@@ -448,7 +282,7 @@ mod tests {
     fn knowledge_respects_views() {
         let c = program();
         let space = c.space().clone();
-        let k = KnowledgeOperator::for_program(&c);
+        let k = KnowledgeContext::for_program(&c);
         let b = Predicate::var_is_true(&space, space.var("b").unwrap());
         // P1 sees b, so K_{P1} b = b on reachable states.
         let k1b = k.knows("P1", &b).unwrap();
@@ -474,7 +308,7 @@ mod tests {
     #[test]
     fn unknown_process_errors() {
         let c = program();
-        let k = KnowledgeOperator::for_program(&c);
+        let k = KnowledgeContext::for_program(&c);
         let p = Predicate::tt(c.space());
         assert!(matches!(
             k.knows("nobody", &p),
@@ -490,7 +324,7 @@ mod tests {
     fn group_knowledge_ordering() {
         // C_G p ⇒ E_G p ⇒ K_i p ⇒ p ⇒ ... and K_i p ⇒ D_G p.
         let c = program();
-        let k = KnowledgeOperator::for_program(&c);
+        let k = KnowledgeContext::for_program(&c);
         let g = ["P0", "P1"];
         for p in all_preds(c.space()).step_by(3) {
             let cg = k.common(&g, &p).unwrap();
@@ -507,7 +341,7 @@ mod tests {
     #[test]
     fn common_knowledge_is_a_fixpoint() {
         let c = program();
-        let k = KnowledgeOperator::for_program(&c);
+        let k = KnowledgeContext::for_program(&c);
         let g = ["P0", "P1"];
         for p in all_preds(c.space()).step_by(5) {
             let cg = k.common(&g, &p).unwrap();
@@ -531,7 +365,7 @@ mod tests {
             ("B".to_owned(), space.var_set(["b"]).unwrap()),
         ];
         let si = Predicate::tt(&space);
-        let k = KnowledgeOperator::with_si(&space, views, si).unwrap();
+        let k = KnowledgeContext::new(&space, views, si).unwrap();
         for p in all_preds(&space) {
             assert_eq!(k.distributed(&["A", "B"], &p).unwrap(), p);
         }
@@ -541,7 +375,7 @@ mod tests {
     fn knowledge_fn_plugs_into_eval_context() {
         use kpt_logic::{parse_formula, EvalContext};
         let c = program();
-        let k = KnowledgeOperator::for_program(&c);
+        let k = KnowledgeContext::for_program(&c);
         let f = k.knowledge_fn();
         let ctx = EvalContext::new(c.space()).with_knowledge(f.as_ref());
         let formula = parse_formula("K{P1}(b)").unwrap();
@@ -558,7 +392,7 @@ mod tests {
     fn value_on_unreachable_states_is_p() {
         // Eq. (13)'s convention: K_i p has the value p outside SI.
         let c = program();
-        let k = KnowledgeOperator::for_program(&c);
+        let k = KnowledgeContext::for_program(&c);
         let not_si = c.si().negate();
         for p in all_preds(c.space()).step_by(3) {
             let kp = k.knows("P0", &p).unwrap();

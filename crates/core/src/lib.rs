@@ -5,11 +5,11 @@
 //! executable:
 //!
 //! * [`wcyl`] — the weakest cylinder (eq. 6) with its laws (7)–(12);
-//! * [`KnowledgeOperator`] — the knowledge transformer
+//! * [`KnowledgeContext`] — the knowledge transformer
 //!   `K_i p = p ∧ (wcyl.vars_i.(SI ⇒ p) ∨ ¬SI)` (eq. 13), satisfying the
 //!   S5 axioms (14)–(18) and the junctivity/invariant theory (19)–(24),
 //!   plus the §3 group extensions `E_G`, `C_G` (greatest fixpoint) and
-//!   `D_G`;
+//!   `D_G`, with every `K p` query memoized;
 //! * [`Kbp`] — knowledge-based protocols (§4): the non-monotone fixpoint
 //!   equation (25), a complete exhaustive solver
 //!   ([`Kbp::solve_exhaustive`]) and a scalable iterative solver
@@ -23,7 +23,7 @@
 //! ## Example: knowledge in a toy protocol
 //!
 //! ```
-//! use kpt_core::KnowledgeOperator;
+//! use kpt_core::KnowledgeContext;
 //! use kpt_state::{Predicate, StateSpace};
 //! use kpt_unity::{Program, Statement};
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,7 +36,7 @@
 //!     .statement(Statement::new("serve").guard_str("req")?.assign_str("done", "1")?)
 //!     .build()?
 //!     .compile()?;
-//! let k = KnowledgeOperator::for_program(&program);
+//! let k = KnowledgeContext::for_program(&program);
 //! let done = Predicate::var_is_true(&space, space.var("done")?);
 //! // The server knows `done` exactly where it holds (it sees done):
 //! assert_eq!(program.si().and(&k.knows("Server", &done)?),
@@ -64,7 +64,7 @@ pub use context::KnowledgeContext;
 pub use error::CoreError;
 pub use examples::{figure1, figure2, figure2_space};
 pub use kbp::{IterativeOutcome, Kbp, SolutionSet};
-pub use knowledge::{KnowledgeOperator, KnowsTransformer};
+pub use knowledge::KnowsTransformer;
 pub use muddy::{
     muddy_children, muddy_children_n, muddy_children_with_memory, muddy_children_with_memory_n,
 };

@@ -177,8 +177,8 @@ pub fn muddy_children_with_memory() -> Result<Kbp, UnityError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::KnowledgeContext;
     use crate::kbp::{IterativeOutcome, Kbp};
-    use crate::knowledge::KnowledgeOperator;
     use kpt_state::Predicate;
 
     fn solve(kbp: &Kbp) -> Predicate {
@@ -190,14 +190,14 @@ mod tests {
         solution
     }
 
-    fn operator(kbp: &Kbp, solution: &Predicate) -> KnowledgeOperator {
+    fn operator(kbp: &Kbp, solution: &Predicate) -> KnowledgeContext {
         let views = kbp
             .program()
             .processes()
             .iter()
             .map(|p| (p.name().to_owned(), p.view()))
             .collect();
-        KnowledgeOperator::with_si(kbp.program().space(), views, solution.clone())
+        KnowledgeContext::new(kbp.program().space(), views, solution.clone())
             .expect("views drawn from the KBP's own space")
     }
 

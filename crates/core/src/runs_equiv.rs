@@ -12,7 +12,7 @@
 use kpt_state::{Predicate, VarSet};
 use kpt_unity::{reachable, CompiledProgram};
 
-use crate::knowledge::KnowledgeOperator;
+use crate::context::KnowledgeContext;
 
 /// Run-based view knowledge: holds at a state `s` iff `p` holds at every
 /// state, *reachable by explicit BFS*, that agrees with `s` on `view`.
@@ -58,7 +58,7 @@ pub fn semantics_agree(
     if &reach != program.si() {
         return Err(Disagreement::ReachabilityVsSi);
     }
-    let op = KnowledgeOperator::for_program(program);
+    let op = KnowledgeContext::for_program(program);
     for (i, p) in samples.iter().enumerate() {
         for proc in program.processes() {
             let run_based = view_knowledge(program, proc.view(), p);

@@ -181,8 +181,8 @@ pub fn zoo() -> Result<Vec<ZooEntry>, UnityError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::KnowledgeContext;
     use crate::kbp::IterativeOutcome;
-    use crate::knowledge::KnowledgeOperator;
     use kpt_logic::parse_formula;
     use kpt_state::Predicate;
 
@@ -196,14 +196,14 @@ mod tests {
         }
     }
 
-    fn operator(kbp: &Kbp, solution: &Predicate) -> KnowledgeOperator {
+    fn operator(kbp: &Kbp, solution: &Predicate) -> KnowledgeContext {
         let views = kbp
             .program()
             .processes()
             .iter()
             .map(|p| (p.name().to_owned(), p.view()))
             .collect();
-        KnowledgeOperator::with_si(kbp.program().space(), views, solution.clone()).unwrap()
+        KnowledgeContext::new(kbp.program().space(), views, solution.clone()).unwrap()
     }
 
     fn eval(space: &Arc<StateSpace>, f: &str) -> Predicate {

@@ -100,7 +100,7 @@ impl<'p> ErasedGuards<'p> {
 
 /// The knowledge-erased over-approximation of a program: same space, init,
 /// processes and updates; every guard formula erased at positive polarity.
-/// Lint compiles the same program from its shared [`ErasedGuards`]; this
+/// Lint compiles the same program from its shared `ErasedGuards`; this
 /// builder is the reference the differential tests compare it against.
 ///
 /// # Errors

@@ -8,21 +8,21 @@
 //!
 //! Four depths of checks, each a module:
 //!
-//! 1. [`decl`] — declaration-level: identifiers missing from the state
+//! 1. `decl` — declaration-level: identifiers missing from the state
 //!    space, updates that can write outside a variable's domain, duplicate
 //!    or variable-shadowing names, empty/unsatisfiable `init`.
-//! 2. [`view`] — view-soundness: a statement guarded by `K{i}(..)` whose
+//! 2. `view` — view-soundness: a statement guarded by `K{i}(..)` whose
 //!    *objective* guard atoms or update right-hand sides read variables
 //!    outside process `i`'s view (the "acts on what it cannot know" class),
 //!    plus undeclared processes in knowledge atoms.
-//! 3. [`dataflow`] — abstract interpretation without the BDD engine:
+//! 3. `dataflow` — abstract interpretation without the BDD engine:
 //!    interval analysis proving guards constant-false (`KPT010`, an
 //!    over-approximation of the symbolic `KPT007` verdict), a
 //!    knowledge-guard dependency graph with SCC detection (`KPT011`, the
 //!    syntactic Figure-1 circularity in `O(statements)`), and
 //!    unimplementable-knowledge flow (`KPT012`, a `K{i}` guard over
 //!    variables outside `V_i`'s reachable information).
-//! 4. [`symbolic`] — semantic checks against the strongest invariant of
+//! 4. `symbolic` — semantic checks against the strongest invariant of
 //!    the *knowledge-erased* over-approximation: guards unsatisfiable
 //!    under `SI` (dead code), write-write races on overlapping guards, and
 //!    the eq.-25 knowledge-circularity analysis. The `SI` and guards are

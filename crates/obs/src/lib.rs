@@ -22,6 +22,9 @@
 //!   — per-step reports from long fixpoints: a trace event while tracing,
 //!   and a call into the thread's scoped progress sink, if any, whether
 //!   or not tracing is on.
+//! * **Memos** ([`Memo`], [`CacheStats`]) — the one clear-on-full,
+//!   insert-if-absent memo behind every `K p` and `candidate ↦ SI` cache
+//!   of both eq.-(25) engines, with its hit/miss/eviction accounting.
 //! * **Profiles** ([`profile_to_file`], `KPT_PROFILE=<path>`,
 //!   [`aggregate_spans`], [`folded_stacks`]) — exact self-time
 //!   attribution over the span tree, exported in the flamegraph.pl
@@ -41,15 +44,17 @@
 #![forbid(unsafe_code)]
 
 mod json;
+mod memo;
 mod metrics;
 mod profile;
 mod trace;
 mod verdict;
 
 pub use json::{parse_json, JsonError, JsonValue};
+pub use memo::{CacheStats, Memo, MEMO_CAP};
 pub use metrics::{
-    counter, gauge, histogram, metrics_snapshot, reset_metrics, CacheStats, Counter, Gauge,
-    Histogram, HistogramSnapshot, Metric, MetricValue,
+    counter, gauge, histogram, metrics_snapshot, reset_metrics, Counter, Gauge, Histogram,
+    HistogramSnapshot, Metric, MetricValue,
 };
 pub use profile::{
     aggregate_spans, disable_profile, flush_profile, folded_stacks, profile_path, profile_to_file,

@@ -177,36 +177,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// Cache behaviour counters shared by every memo in the workspace (the
-/// SI-candidate memo of `Kbp`, the `K p` memo of `KnowledgeContext`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Queries answered from the memo.
-    pub hits: u64,
-    /// Queries that had to compute.
-    pub misses: u64,
-    /// Times the memo was cleared because it reached capacity.
-    pub evictions: u64,
-    /// Entries inserted over the memo's lifetime. Unlike `entries`, this
-    /// survives clear-on-full eviction, so hit-rate style derived metrics
-    /// stay meaningful after a clear.
-    pub inserts: u64,
-    /// Entries currently memoized.
-    pub entries: usize,
-}
-
-impl CacheStats {
-    /// Hit ratio in `[0, 1]` (0 when no queries yet).
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 struct Registry {
     counters: Mutex<BTreeMap<&'static str, &'static Counter>>,
     gauges: Mutex<BTreeMap<&'static str, &'static Gauge>>,
@@ -223,7 +193,7 @@ fn registry() -> &'static Registry {
 }
 
 /// The counter registered under `name`, created on first use. Prefer the
-/// [`counter!`] macro, which caches the returned handle at the call site.
+/// [`counter!`](macro@crate::counter) macro, which caches the returned handle at the call site.
 pub fn counter(name: &'static str) -> &'static Counter {
     let mut map = registry()
         .counters
@@ -233,14 +203,14 @@ pub fn counter(name: &'static str) -> &'static Counter {
 }
 
 /// The gauge registered under `name`, created on first use. Prefer the
-/// [`gauge!`] macro, which caches the returned handle at the call site.
+/// [`gauge!`](macro@crate::gauge) macro, which caches the returned handle at the call site.
 pub fn gauge(name: &'static str) -> &'static Gauge {
     let mut map = registry().gauges.lock().expect("metrics registry poisoned");
     map.entry(name).or_insert_with(|| Box::leak(Box::default()))
 }
 
 /// The histogram registered under `name`, created on first use. Prefer the
-/// [`histogram!`] macro, which caches the returned handle at the call site.
+/// [`histogram!`](macro@crate::histogram) macro, which caches the returned handle at the call site.
 pub fn histogram(name: &'static str) -> &'static Histogram {
     let mut map = registry()
         .histograms
@@ -262,7 +232,7 @@ macro_rules! counter {
 }
 
 /// The gauge registered under a name, with the handle cached in a
-/// call-site `static` (see [`counter!`]).
+/// call-site `static` (see [`counter!`](macro@crate::counter)).
 #[macro_export]
 macro_rules! gauge {
     ($name:expr) => {{
@@ -273,7 +243,7 @@ macro_rules! gauge {
 }
 
 /// The histogram registered under a name, with the handle cached in a
-/// call-site `static` (see [`counter!`]).
+/// call-site `static` (see [`counter!`](macro@crate::counter)).
 #[macro_export]
 macro_rules! histogram {
     ($name:expr) => {{
@@ -435,18 +405,5 @@ mod tests {
         assert!(snap
             .iter()
             .any(|m| m.name == "test.metrics.gauge" && matches!(m.value, MetricValue::Gauge(19))));
-    }
-
-    #[test]
-    fn cache_stats_ratio() {
-        let s = CacheStats {
-            hits: 3,
-            misses: 1,
-            evictions: 0,
-            inserts: 1,
-            entries: 4,
-        };
-        assert!((s.hit_ratio() - 0.75).abs() < 1e-12);
-        assert_eq!(CacheStats::default().hit_ratio(), 0.0);
     }
 }

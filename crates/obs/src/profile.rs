@@ -95,7 +95,7 @@ pub fn profile_path() -> Option<String> {
 }
 
 /// Write the current aggregate to the profile path now (a no-op when no
-/// profile is installed). Called automatically every [`FLUSH_EVERY`]
+/// profile is installed). Called automatically every `FLUSH_EVERY`
 /// closed spans and from [`crate::disable_trace`].
 pub fn flush_profile() {
     let mut s = state().lock().expect("profile state poisoned");

@@ -19,7 +19,9 @@
 //! * with a-priori information (§6.4 / footnote 3), equality **fails**
 //!   while the implication — and the protocol's correctness — survive.
 
-use kpt_core::KnowledgeOperator;
+use std::sync::Arc;
+
+use kpt_core::KnowledgeContext;
 use kpt_state::Predicate;
 use kpt_unity::CompiledProgram;
 
@@ -28,20 +30,23 @@ use crate::standard::StandardModel;
 /// The real knowledge operator of a compiled standard model, with the
 /// Sender/Receiver views.
 #[must_use]
-pub fn knowledge_operator(model: &StandardModel, compiled: &CompiledProgram) -> KnowledgeOperator {
+pub fn knowledge_operator(
+    model: &StandardModel,
+    compiled: &CompiledProgram,
+) -> Arc<KnowledgeContext> {
     model.knowledge_operator(compiled)
 }
 
 /// The real `K_R(x_k = α)`.
 #[must_use]
-pub fn real_kr_x(model: &StandardModel, op: &KnowledgeOperator, k: u64, alpha: u64) -> Predicate {
+pub fn real_kr_x(model: &StandardModel, op: &KnowledgeContext, k: u64, alpha: u64) -> Predicate {
     op.knows("Receiver", &model.x_elem(k as usize, alpha))
         .expect("Receiver is declared")
 }
 
 /// The real `K_R x_k = (∃α :: K_R(x_k = α))`.
 #[must_use]
-pub fn real_kr_x_any(model: &StandardModel, op: &KnowledgeOperator, k: u64) -> Predicate {
+pub fn real_kr_x_any(model: &StandardModel, op: &KnowledgeContext, k: u64) -> Predicate {
     let mut out = Predicate::ff(model.space());
     for alpha in 0..model.encoding().alphabet() as u64 {
         out = out.or(&real_kr_x(model, op, k, alpha));
@@ -51,7 +56,7 @@ pub fn real_kr_x_any(model: &StandardModel, op: &KnowledgeOperator, k: u64) -> P
 
 /// The real `K_S K_R x_k`.
 #[must_use]
-pub fn real_ks_kr(model: &StandardModel, op: &KnowledgeOperator, k: u64) -> Predicate {
+pub fn real_ks_kr(model: &StandardModel, op: &KnowledgeContext, k: u64) -> Predicate {
     op.knows("Sender", &real_kr_x_any(model, op, k))
         .expect("Sender is declared")
 }

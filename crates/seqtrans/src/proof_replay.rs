@@ -18,7 +18,7 @@
 //!   with `assume` — exactly the paper's `properties` section — and then
 //!   *discharged* for the bounded instance by the leads-to model checker;
 //! * steps that appeal to knowledge axioms (14), (15), (21), (24) use the
-//!   real [`kpt_core::KnowledgeOperator`] predicates and `leads_to_implication` /
+//!   real [`kpt_core::KnowledgeContext`] predicates and `leads_to_implication` /
 //!   `weaken_leads_to` side conditions (which are checked semantically,
 //!   mirroring the paper's use of the axioms).
 //!

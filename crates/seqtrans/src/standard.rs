@@ -26,7 +26,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use kpt_core::KnowledgeOperator;
+use kpt_core::KnowledgeContext;
 use kpt_state::{Predicate, StateSpace, VarId, VarSet};
 use kpt_unity::{CompiledProgram, Program, Statement, UnityError};
 
@@ -83,7 +83,7 @@ pub struct StandardModel {
     /// Memoized knowledge operator for the program's own `SI` — shared by
     /// every validation/replay pass over the same model so eq. (13)
     /// predicates are computed once.
-    k_op: OnceLock<KnowledgeOperator>,
+    k_op: OnceLock<Arc<KnowledgeContext>>,
 }
 
 impl StandardModel {
@@ -379,22 +379,24 @@ impl StandardModel {
     /// with a different invariant (never produced by [`StandardModel::compile`],
     /// which is deterministic) gets a fresh, uncached operator.
     #[must_use]
-    pub fn knowledge_operator(&self, compiled: &CompiledProgram) -> KnowledgeOperator {
+    pub fn knowledge_operator(&self, compiled: &CompiledProgram) -> Arc<KnowledgeContext> {
         let views = || {
             vec![
                 ("Sender".to_owned(), self.sender_view()),
                 ("Receiver".to_owned(), self.receiver_view()),
             ]
         };
-        let cached = self.k_op.get_or_init(|| {
-            KnowledgeOperator::with_si(&self.space, views(), compiled.si().clone())
-                .expect("views drawn from the model's own space")
-        });
+        let fresh = || {
+            Arc::new(
+                KnowledgeContext::new(&self.space, views(), compiled.si().clone())
+                    .expect("views drawn from the model's own space"),
+            )
+        };
+        let cached = self.k_op.get_or_init(fresh);
         if cached.si() == compiled.si() {
-            cached.clone()
+            Arc::clone(cached)
         } else {
-            KnowledgeOperator::with_si(&self.space, views(), compiled.si().clone())
-                .expect("views drawn from the model's own space")
+            fresh()
         }
     }
 

@@ -162,7 +162,7 @@ impl Model {
     /// manager when it has been built.
     pub fn approx_bytes(&self) -> u64 {
         let bitset = self.space.num_states() / 8 + 64;
-        let cached = self.kbp.cached_candidates() as u64;
+        let cached = self.kbp.cache_stats().entries as u64;
         let static_guards = self.kbp.cached_static_guards() as u64;
         let symbolic = if self.symbolic.lock().map(|s| s.is_some()).unwrap_or(false) {
             1 << 20
@@ -437,7 +437,7 @@ mod tests {
         // of the memoized candidates' two each.
         assert_eq!(m.kbp().cached_static_guards(), 1);
         let bitset = m.space().num_states() / 8 + 64;
-        let memo = 2 * m.kbp().cached_candidates() as u64;
+        let memo = 2 * m.kbp().cache_stats().entries as u64;
         assert!(m.approx_bytes() >= before + bitset * (memo + 1));
     }
 

@@ -48,9 +48,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|p| (p.name().to_owned(), p.view()))
         .collect();
-    let op = KnowledgeOperator::with_si(&space, views, solution.clone()).unwrap();
+    let k = KnowledgeContext::new(&space, views, solution.clone()).unwrap();
     let mud0 = Predicate::var_is_true(&space, space.var("mud0")?);
-    let k0 = op.knows("C0", &mud0)?;
+    let k0 = k.knows("C0", &mud0)?;
     let at_r0 = EvalContext::new(&space).eval(&parse_formula("mud0 /\\ mud1 /\\ round = 0")?)?;
     let at_r1 =
         EvalContext::new(&space).eval(&parse_formula("mud0 /\\ mud1 /\\ round = 1 /\\ ~said0")?)?;
@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The §3 history-variable twist.
-    let knows_own = k0.or(&op.knows("C0", &mud0.negate())?);
+    let knows_own = k0.or(&k.knows("C0", &mud0.negate())?);
     let said0 = Predicate::var_is_true(&space, space.var("said0")?);
     let forgotten = solution.and(&said0).minus(&knows_own);
     println!(
@@ -89,11 +89,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|p| (p.name().to_owned(), p.view()))
         .collect();
-    let mem_op = KnowledgeOperator::with_si(&mem_space, mem_views, mem_solution.clone()).unwrap();
+    let mem_k = KnowledgeContext::new(&mem_space, mem_views, mem_solution.clone()).unwrap();
     let mem_mud0 = Predicate::var_is_true(&mem_space, mem_space.var("mud0")?);
-    let mem_knows = mem_op
+    let mem_knows = mem_k
         .knows("C0", &mem_mud0)?
-        .or(&mem_op.knows("C0", &mem_mud0.negate())?);
+        .or(&mem_k.knows("C0", &mem_mud0.negate())?);
     let mem_said = EvalContext::new(&mem_space).eval(&parse_formula("said0 != none")?)?;
     println!(
         "with round-stamped announcements (history variables), announced-but-forgotten \

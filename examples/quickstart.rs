@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Knowledge per eq. (13).
-    let k = KnowledgeOperator::for_program(&program);
+    let k = KnowledgeContext::for_program(&program);
     println!("\n== knowledge (eq. 13) ==");
     for (proc, fact, p) in [
         ("Server", "done", done.clone()),

@@ -73,12 +73,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )
         })
         .collect();
-    let ctx = knowledge_pt::core::KnowledgeContext::new(
-        &kspace,
-        views,
-        Predicate::from_fn(&kspace, |s| s % 5 != 0),
-    )
-    .unwrap();
+    let ctx =
+        KnowledgeContext::new(&kspace, views, Predicate::from_fn(&kspace, |s| s % 5 != 0)).unwrap();
     let p = Predicate::from_fn(&kspace, |s| s % 3 == 0);
     for (name, k) in ctx.knows_all(&p) {
         println!(

@@ -48,7 +48,7 @@
 //!     .compile()?;
 //!
 //! // Knowledge per eq. (13):
-//! let k = KnowledgeOperator::for_program(&program);
+//! let k = KnowledgeContext::for_program(&program);
 //! let y = Predicate::var_is_true(&space, space.var("y")?);
 //! // After the coupled update, P0 knows y from seeing x:
 //! let x = Predicate::var_is_true(&space, space.var("x")?);
@@ -84,7 +84,7 @@ pub mod prelude {
     pub use kpt_channel::{ChannelStats, Delivery, FaultConfig, FaultyChannel};
     pub use kpt_core::{
         figure1, figure2, load_kpt, muddy_children_kpt, semantics_agree, view_knowledge, wcyl, zoo,
-        IterativeOutcome, Kbp, KnowledgeOperator, SolutionSet, ZooEntry,
+        IterativeOutcome, Kbp, KnowledgeContext, SolutionSet, ZooEntry,
     };
     pub use kpt_lint::{
         erased_program, lint_kbp, lint_program, lint_program_with, lint_registry, lint_source,

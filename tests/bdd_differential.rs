@@ -137,7 +137,7 @@ fn random_knowledge_agrees() {
         let si = pred_from_mask(&space, rng.next_u64() | 1);
         let ssi = SymbolicPredicate::from_explicit(&bdd, &si);
         let views = vec![("P".to_owned(), random_var_set(rng, &space))];
-        let explicit = KnowledgeOperator::with_si(&space, views.clone(), si.clone()).unwrap();
+        let explicit = KnowledgeContext::new(&space, views.clone(), si.clone()).unwrap();
         let symbolic = SymbolicKnowledge::with_si(&bdd, views, &ssi);
         assert_eq!(
             symbolic.knows("P", &sp).unwrap().to_explicit(),

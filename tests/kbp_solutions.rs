@@ -253,7 +253,7 @@ fn compile_at_matches_full_compile(kbp: &Kbp, label: &str) -> usize {
     let mut seen = Vec::new();
     let mut x = program.init().clone();
     while seen.len() < 64 && !seen.contains(&x) {
-        let op = KnowledgeOperator::with_si(program.space(), views.clone(), x.clone()).unwrap();
+        let op = KnowledgeContext::new(program.space(), views.clone(), x.clone()).unwrap();
         let f = op.knowledge_fn();
         let full = program.compile_with_knowledge(f.as_ref());
         let kept = match (kbp.compile_at(&x), full) {

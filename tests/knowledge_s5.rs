@@ -16,7 +16,7 @@ fn s5_axioms_on_random_programs() {
         let (a, b) = (rng.next_u64(), rng.next_u64());
         let program = spec.compile();
         let space = program.space().clone();
-        let k = KnowledgeOperator::for_program(&program);
+        let k = KnowledgeContext::for_program(&program);
         let p = pred_from_mask(&space, a);
         let q = pred_from_mask(&space, b);
         for proc in program.processes().iter().map(|p| p.name().to_owned()) {
@@ -52,7 +52,7 @@ fn eq23_eq24_invariant_characterisation() {
         let a = rng.next_u64();
         let program = spec.compile();
         let space = program.space().clone();
-        let k = KnowledgeOperator::for_program(&program);
+        let k = KnowledgeContext::for_program(&program);
         let p = pred_from_mask(&space, a);
         for proc in program.processes().iter().map(|p| p.name().to_owned()) {
             let kp = k.knows(&proc, &p).unwrap();
@@ -77,7 +77,7 @@ fn group_knowledge_hierarchy() {
         let a = rng.next_u64();
         let program = spec.compile();
         let space = program.space().clone();
-        let k = KnowledgeOperator::for_program(&program);
+        let k = KnowledgeContext::for_program(&program);
         let p = pred_from_mask(&space, a);
         let names: Vec<String> = program
             .processes()
@@ -124,7 +124,7 @@ fn knowledge_is_view_measurable_on_si() {
         let a = rng.next_u64();
         let program = spec.compile();
         let space = program.space().clone();
-        let k = KnowledgeOperator::for_program(&program);
+        let k = KnowledgeContext::for_program(&program);
         let p = pred_from_mask(&space, a);
         let si = program.si();
         for proc in program.processes().iter().map(|p| p.name().to_owned()) {
@@ -184,7 +184,7 @@ fn common_knowledge_strictness_witness() {
         .unwrap()
         .compile()
         .unwrap();
-    let k = KnowledgeOperator::for_program(&program);
+    let k = KnowledgeContext::for_program(&program);
     let a = Predicate::var_is_true(&space, space.var("a").unwrap());
     let b = Predicate::var_is_true(&space, space.var("b").unwrap());
     let fact = a.implies(&b); // invariant: a is only ever set along with b

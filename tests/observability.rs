@@ -150,6 +150,28 @@ fn traced_run_emits_valid_jsonl_covering_all_subsystems() {
         );
     }
 
+    // Both engines' `K p` memos leave the same per-drop summary: the
+    // explicit context above and each symbolic candidate's operator.
+    for kind in ["cache.knowledge", "bdd.cache.knowledge"] {
+        let summary = events
+            .iter()
+            .find(|e| e.get("kind").and_then(JsonValue::as_str) == Some(kind))
+            .unwrap_or_else(|| panic!("no {kind} event in {kinds:?}"));
+        for field in ["hits", "misses", "evictions", "entries"] {
+            assert!(
+                summary.get(field).and_then(JsonValue::as_u64).is_some(),
+                "{kind} without {field}: {summary:?}"
+            );
+        }
+        assert!(
+            summary
+                .get("hit_ratio")
+                .and_then(JsonValue::as_f64)
+                .is_some(),
+            "{kind} without hit_ratio: {summary:?}"
+        );
+    }
+
     // unity.compile: every compile above (the exhaustive search compiles
     // Figure 1 at each candidate) reports its statements and moved states.
     let compile = events

@@ -33,13 +33,12 @@ fn knows_all_matches_per_view_knows_on_random_programs() {
         let ctx = KnowledgeContext::for_program(&compiled);
         assert_eq!(ctx.knows_all(&p), expect, "{spec:?}");
         // E_G over all processes equals the conjunction of the K_i.
-        let op = KnowledgeOperator::from_context(std::sync::Arc::new(ctx));
         let names: Vec<&str> = expect.iter().map(|(n, _)| n.as_str()).collect();
         let mut conj = Predicate::tt(compiled.space());
         for (_, k) in &expect {
             conj = conj.and(k);
         }
-        assert_eq!(op.everyone(&names, &p).unwrap(), conj, "{spec:?}");
+        assert_eq!(ctx.everyone(&names, &p).unwrap(), conj, "{spec:?}");
     });
 }
 
