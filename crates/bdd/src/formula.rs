@@ -1,17 +1,17 @@
 //! Symbolic evaluation of `kpt_logic::Formula` — the same semantics as
-//! `kpt_logic::EvalContext` (parameters, enum-label fallback in comparison
-//! context, domain-bounded quantifiers, knowledge atoms), producing BDD
-//! roots instead of bitsets.
+//! `kpt_logic::EvalContext` (parameters, domain-bounded quantifiers,
+//! knowledge atoms), producing BDD roots instead of bitsets.
 //!
-//! Comparisons are the only atoms that need value arithmetic; they are
-//! translated by enumerating the *support* of the two sides (the product
+//! Comparisons are the only atoms that need value arithmetic. Their sides
+//! resolve through `kpt_logic::Term`, as in the explicit evaluator, and
+//! are translated by enumerating the *support* of the two sides (the product
 //! of the mentioned variables' domains, never the whole state space) and
 //! OR-ing one cube per satisfying combination.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use kpt_logic::{CmpOp, EvalError, Expr, Formula};
+use kpt_logic::{CmpOp, EvalError, Expr, Formula, Term};
 use kpt_state::{Domain, VarId, VarSet};
 
 use crate::error::BddError;
@@ -176,23 +176,8 @@ impl<'a> SymbolicEvalContext<'a> {
         lhs: &Expr,
         rhs: &Expr,
     ) -> Result<NodeId, BddError> {
-        let l = self.compile(lhs);
-        let r = self.compile(rhs);
-        let (l, r) = match (l, r) {
-            (Ok(l), Ok(r)) => (l, r),
-            // One side is an unresolved bare identifier: try to read it as
-            // an enum label of the other side's variable.
-            (Err(name), Ok(r)) => {
-                let code = self.resolve_label(&name, &r)?;
-                (CExpr::Const(code), r)
-            }
-            (Ok(l), Err(name)) => {
-                let code = self.resolve_label(&name, &l)?;
-                (l, CExpr::Const(code))
-            }
-            (Err(name), Err(_)) => return Err(EvalError::UnknownIdentifier(name).into()),
-        };
         let st_space = self.space.space();
+        let (l, r) = Term::resolve_cmp(st_space, &self.params, lhs, rhs)?;
         let mut support = VarSet::default();
         l.support(&mut support);
         r.support(&mut support);
@@ -218,7 +203,7 @@ impl<'a> SymbolicEvalContext<'a> {
                 values.insert(*v, rest % size);
                 rest /= size;
             }
-            if op.apply(l.eval(&values), r.eval(&values)) {
+            if op.apply(l.eval(|v| values[&v]), r.eval(|v| values[&v])) {
                 let mut cube = crate::manager::TRUE;
                 for v in vars.iter().rev() {
                     let c = self.space.value_cube(mgr, *v, values[v], false);
@@ -228,85 +213,6 @@ impl<'a> SymbolicEvalContext<'a> {
             }
         }
         Ok(mgr.and(acc, self.space.domain_ok_cur()))
-    }
-
-    fn resolve_label(&self, label: &str, peer: &CExpr) -> Result<i64, BddError> {
-        if let CExpr::Var(v) = peer {
-            if let Some(code) = self.space.space().domain(*v).label_code(label) {
-                return Ok(code as i64);
-            }
-        }
-        Err(EvalError::UnknownIdentifier(label.to_owned()).into())
-    }
-
-    /// Compile an expression; `Err(name)` is an unresolved bare identifier
-    /// (possibly an enum label in comparison context) — the same contract
-    /// as `kpt_logic::EvalContext`.
-    fn compile(&self, e: &Expr) -> Result<CExpr, String> {
-        match e {
-            Expr::Const(n) => Ok(CExpr::Const(*n)),
-            Expr::Ident(name) => {
-                if let Some(&v) = self.params.get(name) {
-                    Ok(CExpr::Const(v))
-                } else if let Ok(var) = self.space.space().var(name) {
-                    Ok(CExpr::Var(var))
-                } else {
-                    Err(name.clone())
-                }
-            }
-            Expr::Add(a, b) => Ok(CExpr::Add(
-                Box::new(self.compile(a)?),
-                Box::new(self.compile(b)?),
-            )),
-            Expr::Sub(a, b) => Ok(CExpr::Sub(
-                Box::new(self.compile(a)?),
-                Box::new(self.compile(b)?),
-            )),
-        }
-    }
-}
-
-/// A compiled side of a comparison, mirroring the private `CExpr` of
-/// `kpt_logic::eval` but evaluated over support valuations instead of
-/// explicit states.
-#[derive(Debug)]
-pub(crate) enum CExpr {
-    Const(i64),
-    Var(VarId),
-    Add(Box<CExpr>, Box<CExpr>),
-    Sub(Box<CExpr>, Box<CExpr>),
-}
-
-impl CExpr {
-    pub(crate) fn support(&self, out: &mut VarSet) {
-        match self {
-            CExpr::Const(_) => {}
-            CExpr::Var(v) => out.insert(*v),
-            CExpr::Add(a, b) | CExpr::Sub(a, b) => {
-                a.support(out);
-                b.support(out);
-            }
-        }
-    }
-
-    pub(crate) fn eval(&self, values: &HashMap<VarId, u64>) -> i64 {
-        match self {
-            CExpr::Const(n) => *n,
-            CExpr::Var(v) => values[v] as i64,
-            CExpr::Add(a, b) => a.eval(values) + b.eval(values),
-            CExpr::Sub(a, b) => a.eval(values) - b.eval(values),
-        }
-    }
-
-    /// Evaluate at an explicit state (used to pinpoint out-of-range
-    /// assignment witnesses).
-    pub(crate) fn eval_state(&self, space: &kpt_state::StateSpace, state: u64) -> i64 {
-        match self {
-            CExpr::Const(n) => *n,
-            CExpr::Var(v) => space.value(state, *v) as i64,
-            CExpr::Add(a, b) => a.eval_state(space, state) + b.eval_state(space, state),
-            CExpr::Sub(a, b) => a.eval_state(space, state) - b.eval_state(space, state),
-        }
     }
 }
 
@@ -374,8 +280,28 @@ mod tests {
 
     #[test]
     fn errors_mirror_explicit_evaluation() {
-        let (_, bdd) = setup();
+        let (space, bdd) = setup();
         let ctx = SymbolicEvalContext::new(&bdd);
+        // Only a bare side reads as a label (`m0 + 1` is arithmetic on an
+        // unknown name), and the leftmost culprit is named, left side first.
+        let explicit = kpt_logic::EvalContext::new(&space);
+        for (src, name) in [
+            ("(m0 + 1) = z", "m0"),
+            ("z = m0 + 1", "m0"),
+            ("m0 - 0 = z", "m0"),
+            ("ghost1 = ghost2", "ghost1"),
+            ("ghost1 + 1 = ghost2", "ghost1"),
+            ("i = ghost2 + ghost3", "ghost2"),
+            ("i + ghost9 = ghost2", "ghost9"),
+        ] {
+            let f = parse_formula(src).unwrap();
+            let want = EvalError::UnknownIdentifier(name.into());
+            assert_eq!(explicit.eval(&f).unwrap_err(), want, "{src}");
+            match ctx.eval(&f) {
+                Err(BddError::Eval(e)) => assert_eq!(e, want, "{src}"),
+                other => panic!("`{src}`: symbolic gave {other:?}, explicit {want:?}"),
+            }
+        }
         let f = parse_formula("nosuch = 3").unwrap();
         assert!(matches!(
             ctx.eval(&f),

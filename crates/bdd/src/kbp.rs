@@ -24,7 +24,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use kpt_logic::Formula;
+use kpt_logic::{Formula, Term};
 use kpt_obs::{CacheStats, Memo};
 use kpt_state::{VarId, VarSet};
 use kpt_transformers::{iterate_to_fixpoint, IterativeOutcome};
@@ -32,7 +32,7 @@ use kpt_unity::{Guard, Program};
 
 use crate::error::BddError;
 use crate::fixpoint::sst_raw_bounded;
-use crate::formula::{CExpr, SymbolicEvalContext};
+use crate::formula::SymbolicEvalContext;
 use crate::knowledge::SymbolicKnowledge;
 use crate::manager::{BddConfig, Manager, NodeId, FALSE, TRUE};
 use crate::predicate::SymbolicPredicate;
@@ -60,7 +60,7 @@ struct SymStatement {
     /// domain — an error iff the guard enables any of them.
     bad: NodeId,
     /// Compiled assignments, for out-of-range witness diagnostics.
-    assigns: Vec<(VarId, CExpr)>,
+    assigns: Vec<(VarId, Term)>,
     params: HashMap<String, i64>,
 }
 
@@ -417,15 +417,13 @@ fn translate_statement(
         }
     };
 
-    // Compile assignment right-hand sides exactly like
-    // `kpt_unity::compile_statement` (same enum-label fallback against the
-    // target's domain).
-    let mut assigns: Vec<(VarId, CExpr)> = Vec::with_capacity(stmt.assignments().len());
+    let mut assigns: Vec<(VarId, Term)> = Vec::with_capacity(stmt.assignments().len());
     for (var_name, expr) in stmt.assignments() {
         let var = st_space.var(var_name)?;
-        let ce = compile_assign_expr(space, stmt.params(), expr, var)
-            .map_err(|name| BddError::Eval(kpt_logic::EvalError::UnknownIdentifier(name)))?;
-        assigns.push((var, ce));
+        assigns.push((
+            var,
+            Term::resolve_assign(st_space, stmt.params(), expr, var)?,
+        ));
     }
 
     let needs_explicit = stmt.update_fn().is_some()
@@ -489,53 +487,6 @@ fn domain_part(space: &Arc<BddSpace>, mgr: &mut Manager) -> Option<Part> {
     })
 }
 
-/// Mirror of `kpt_unity`'s `compile_expr`: a whole-expression bare
-/// identifier that is neither parameter nor variable resolves as an enum
-/// label of the *target* variable's domain.
-fn compile_assign_expr(
-    space: &Arc<BddSpace>,
-    params: &HashMap<String, i64>,
-    expr: &kpt_logic::Expr,
-    target: VarId,
-) -> Result<CExpr, String> {
-    let st_space = space.space();
-    if let kpt_logic::Expr::Ident(name) = expr {
-        if !params.contains_key(name) && st_space.var(name).is_err() {
-            if let Some(code) = st_space.domain(target).label_code(name) {
-                return Ok(CExpr::Const(code as i64));
-            }
-        }
-    }
-    compile_expr_inner(space, params, expr)
-}
-
-fn compile_expr_inner(
-    space: &Arc<BddSpace>,
-    params: &HashMap<String, i64>,
-    expr: &kpt_logic::Expr,
-) -> Result<CExpr, String> {
-    match expr {
-        kpt_logic::Expr::Const(n) => Ok(CExpr::Const(*n)),
-        kpt_logic::Expr::Ident(name) => {
-            if let Some(&v) = params.get(name) {
-                Ok(CExpr::Const(v))
-            } else if let Ok(var) = space.space().var(name) {
-                Ok(CExpr::Var(var))
-            } else {
-                Err(name.clone())
-            }
-        }
-        kpt_logic::Expr::Add(a, b) => Ok(CExpr::Add(
-            Box::new(compile_expr_inner(space, params, a)?),
-            Box::new(compile_expr_inner(space, params, b)?),
-        )),
-        kpt_logic::Expr::Sub(a, b) => Ok(CExpr::Sub(
-            Box::new(compile_expr_inner(space, params, a)?),
-            Box::new(compile_expr_inner(space, params, b)?),
-        )),
-    }
-}
-
 /// Symbolic update translation: per assignment, enumerate the support's
 /// value combinations (never the full space). Duplicate targets follow
 /// UNITY's in-order overwrite — the last assignment wins the relation,
@@ -545,7 +496,7 @@ fn compile_expr_inner(
 fn translate_update_symbolic(
     space: &Arc<BddSpace>,
     mgr: &mut Manager,
-    assigns: &[(VarId, CExpr)],
+    assigns: &[(VarId, Term)],
 ) -> (PartSet, NodeId) {
     let st_space = space.space();
     let mut bad = FALSE;
@@ -568,7 +519,7 @@ fn translate_update_symbolic(
                 values.insert(*v, rest % size);
                 rest /= size;
             }
-            let out = ce.eval(&values);
+            let out = ce.eval(|v| values[&v]);
             let mut cube = TRUE;
             for v in vars.iter().rev() {
                 let c = space.value_cube(mgr, *v, values[v], false);
@@ -635,7 +586,7 @@ fn translate_update_explicit(
     space: &Arc<BddSpace>,
     mgr: &mut Manager,
     stmt: &kpt_unity::Statement,
-    assigns: &[(VarId, CExpr)],
+    assigns: &[(VarId, Term)],
     enabled: Option<NodeId>,
 ) -> Result<(PartSet, NodeId), BddError> {
     let st_space = space.space();

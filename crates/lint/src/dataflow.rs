@@ -31,7 +31,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use kpt_logic::{CmpOp, Expr, Formula};
+use kpt_logic::{CmpOp, Formula, Term};
 use kpt_state::{StateSpace, VarId};
 use kpt_unity::{Guard, Program, Statement};
 
@@ -144,53 +144,20 @@ fn var_index(_space: &StateSpace, v: VarId) -> usize {
     v.index()
 }
 
-/// Interval of an expression; `None` when an identifier does not resolve
-/// as a parameter or variable (the enum-label fallback is context
-/// dependent and handled by the callers).
-fn expr_interval(env: &IntervalEnv<'_>, params: &HashMap<String, i64>, e: &Expr) -> Option<Itv> {
-    match e {
-        Expr::Const(n) => Some((*n, *n)),
-        Expr::Ident(name) => {
-            if let Some(&c) = params.get(name.as_str()) {
-                return Some((c, c));
-            }
-            env.space.var(name).ok().map(|v| env.interval(v))
+/// The interval a resolved term can take over the box.
+fn term_interval(env: &IntervalEnv<'_>, t: &Term) -> Itv {
+    match t {
+        Term::Const(n) => (*n, *n),
+        Term::Var(v) => env.interval(*v),
+        Term::Add(a, b) => {
+            let ((al, ah), (bl, bh)) = (term_interval(env, a), term_interval(env, b));
+            (al.saturating_add(bl), ah.saturating_add(bh))
         }
-        Expr::Add(a, b) => {
-            let (al, ah) = expr_interval(env, params, a)?;
-            let (bl, bh) = expr_interval(env, params, b)?;
-            Some((al.saturating_add(bl), ah.saturating_add(bh)))
-        }
-        Expr::Sub(a, b) => {
-            let (al, ah) = expr_interval(env, params, a)?;
-            let (bl, bh) = expr_interval(env, params, b)?;
-            Some((al.saturating_sub(bh), ah.saturating_sub(bl)))
+        Term::Sub(a, b) => {
+            let ((al, ah), (bl, bh)) = (term_interval(env, a), term_interval(env, b));
+            (al.saturating_sub(bh), ah.saturating_sub(bl))
         }
     }
-}
-
-/// One side of a comparison, with the evaluator's enum-label fallback: a
-/// bare unresolved identifier may be a label of the *peer* variable's
-/// domain.
-fn cmp_side_interval(
-    env: &IntervalEnv<'_>,
-    params: &HashMap<String, i64>,
-    e: &Expr,
-    peer: &Expr,
-) -> Option<Itv> {
-    if let Some(itv) = expr_interval(env, params, e) {
-        return Some(itv);
-    }
-    if let (Expr::Ident(label), Expr::Ident(peer_name)) = (e, peer) {
-        if !params.contains_key(label.as_str()) {
-            if let Ok(pv) = env.space.var(peer_name) {
-                if let Some(code) = env.space.domain(pv).label_code(label) {
-                    return Some((code as i64, code as i64));
-                }
-            }
-        }
-    }
-    None
 }
 
 fn cmp_tri(op: CmpOp, a: Itv, b: Itv) -> Tri {
@@ -260,15 +227,10 @@ fn formula_tri(env: &mut IntervalEnv<'_>, params: &HashMap<String, i64>, f: &For
                 Err(_) => Tri::Unknown,
             }
         }
-        Formula::Cmp(op, a, b) => {
-            let (Some(ia), Some(ib)) = (
-                cmp_side_interval(env, params, a, b),
-                cmp_side_interval(env, params, b, a),
-            ) else {
-                return Tri::Unknown;
-            };
-            cmp_tri(*op, ia, ib)
-        }
+        Formula::Cmp(op, a, b) => match Term::resolve_cmp(env.space, params, a, b) {
+            Ok((ta, tb)) => cmp_tri(*op, term_interval(env, &ta), term_interval(env, &tb)),
+            Err(_) => Tri::Unknown,
+        },
         Formula::Not(g) => formula_tri(env, params, g).not(),
         Formula::And(a, b) => formula_tri(env, params, a).and(formula_tri(env, params, b)),
         Formula::Or(a, b) => formula_tri(env, params, a).or(formula_tri(env, params, b)),
@@ -396,8 +358,10 @@ fn narrow_formula(env: &mut IntervalEnv<'_>, params: &HashMap<String, i64>, f: &
             }
         }
         Formula::Cmp(op, a, b) => {
-            narrow_cmp(env, params, *op, a, b);
-            narrow_cmp(env, params, op.flip(), b, a);
+            if let Ok((ta, tb)) = Term::resolve_cmp(env.space, params, a, b) {
+                narrow_cmp(env, *op, &ta, &tb);
+                narrow_cmp(env, op.flip(), &tb, &ta);
+            }
         }
         _ => {}
     }
@@ -406,21 +370,9 @@ fn narrow_formula(env: &mut IntervalEnv<'_>, params: &HashMap<String, i64>, f: &
 /// Refine `x`'s box from a satisfied `x op e` conjunct. Sound even when
 /// `e` mentions `x` itself: from `x < e` and `e ≤ hi(e)` follows
 /// `x ≤ hi(e) - 1` at every satisfying state.
-fn narrow_cmp(
-    env: &mut IntervalEnv<'_>,
-    params: &HashMap<String, i64>,
-    op: CmpOp,
-    x: &Expr,
-    e: &Expr,
-) {
-    let Expr::Ident(name) = x else { return };
-    if params.contains_key(name.as_str()) {
-        return;
-    }
-    let Ok(v) = env.space.var(name) else { return };
-    let Some((el, eh)) = cmp_side_interval(env, params, e, x) else {
-        return;
-    };
+fn narrow_cmp(env: &mut IntervalEnv<'_>, op: CmpOp, x: &Term, e: &Term) {
+    let Term::Var(v) = *x else { return };
+    let (el, eh) = term_interval(env, e);
     let i = var_index(env.space, v);
     let (lo, hi) = env.boxes[i];
     let refined = match op {
@@ -437,25 +389,6 @@ fn narrow_cmp(
     if refined.0 <= refined.1 {
         env.boxes[i] = refined;
     }
-}
-
-/// The interval an assignment's right-hand side can take, mirroring the
-/// compiler's bare-identifier enum-label fallback for the target domain.
-fn assign_rhs_interval(
-    env: &IntervalEnv<'_>,
-    stmt: &Statement,
-    target: VarId,
-    rhs: &Expr,
-) -> Option<Itv> {
-    if let Some(itv) = expr_interval(env, stmt.params(), rhs) {
-        return Some(itv);
-    }
-    if let Expr::Ident(label) = rhs {
-        if let Some(code) = env.space.domain(target).label_code(label) {
-            return Some((code as i64, code as i64));
-        }
-    }
-    None
 }
 
 /// Seed the box from the init states (full domains on oversized spaces).
@@ -527,7 +460,8 @@ fn check_intervals(program: &Program, diags: &mut Vec<Diagnostic>) {
                 .filter_map(|(target, rhs)| {
                     let var = space.var(target).ok()?;
                     let i = var_index(space, var);
-                    let written = assign_rhs_interval(&env, stmt, var, rhs).unwrap_or(full[i]);
+                    let written = Term::resolve_assign(space, stmt.params(), rhs, var)
+                        .map_or(full[i], |t| term_interval(&env, &t));
                     // Whatever the runtime does with an out-of-domain
                     // value, the stored code stays inside the domain.
                     let written = (written.0.max(full[i].0), written.1.min(full[i].1));

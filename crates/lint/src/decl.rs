@@ -3,7 +3,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use kpt_logic::{EvalError, Expr, Formula};
+use kpt_logic::{EvalError, Formula, Term};
 use kpt_state::{witness_state, Predicate, StateSpace};
 use kpt_unity::{Guard, Program, Statement};
 
@@ -79,7 +79,7 @@ fn check_identifiers(
         check_formula(space, stmt.params(), f, stmt, "guard", Anchor::Guard, diags);
     }
     for (idx, (target, rhs)) in stmt.assignments().iter().enumerate() {
-        if space.var(target).is_err() {
+        let Ok(target_var) = space.var(target) else {
             diags.push(
                 Diagnostic::on_statement(
                     DiagnosticCode::UnknownIdentifier,
@@ -89,27 +89,10 @@ fn check_identifiers(
                 .anchored(Anchor::Assign(idx)),
             );
             continue;
-        }
-        // Mirror the compiler: a bare identifier RHS may be a parameter, a
-        // variable, or an enum label of the *target's* domain; identifiers
-        // inside arithmetic must be parameters or variables. Exactly the
-        // first unresolvable name (in expression order) is reported — the
-        // same name the compiler's error carries.
-        let target_var = space.var(target).expect("checked above");
-        if let Expr::Ident(name) = rhs {
-            let ok = stmt.params().contains_key(name)
-                || space.var(name).is_ok()
-                || space.domain(target_var).label_code(name).is_some();
-            if !ok {
-                report_unknown(
-                    diags,
-                    stmt,
-                    name,
-                    &format!("assignment to `{target}`"),
-                    Anchor::Assign(idx),
-                );
-            }
-        } else if let Some(name) = first_unresolved(space, stmt.params(), rhs) {
+        };
+        if let Err(EvalError::UnknownIdentifier(name)) =
+            Term::resolve_assign(space, stmt.params(), rhs, target_var)
+        {
             report_unknown(
                 diags,
                 stmt,
@@ -149,61 +132,6 @@ fn report_unknown(
     );
 }
 
-/// How one side of a comparison resolves (mirrors the evaluator).
-enum Side {
-    /// Every identifier is a parameter or variable.
-    Resolved,
-    /// A bare identifier that is neither — may still be an enum label.
-    BareUnknown(String),
-    /// A compound expression containing an unresolved identifier.
-    Unknown(String),
-}
-
-fn resolve_side(space: &StateSpace, params: &HashMap<String, i64>, e: &Expr) -> Side {
-    if let Expr::Ident(name) = e {
-        if params.contains_key(name) || space.var(name).is_ok() {
-            return Side::Resolved;
-        }
-        return Side::BareUnknown(name.clone());
-    }
-    match first_unresolved(space, params, e) {
-        Some(name) => Side::Unknown(name),
-        None => Side::Resolved,
-    }
-}
-
-/// The first identifier (in left-to-right expression order — the order the
-/// evaluator's compiler visits) that is neither a parameter nor a variable.
-fn first_unresolved(space: &StateSpace, params: &HashMap<String, i64>, e: &Expr) -> Option<String> {
-    match e {
-        Expr::Const(_) => None,
-        Expr::Ident(name) => {
-            (!params.contains_key(name) && space.var(name).is_err()).then(|| name.clone())
-        }
-        Expr::Add(a, b) | Expr::Sub(a, b) => {
-            first_unresolved(space, params, a).or_else(|| first_unresolved(space, params, b))
-        }
-    }
-}
-
-/// Whether `peer` is a bare space variable whose domain has `label`
-/// (the evaluator's enum-label fallback for the other comparison side).
-fn peer_resolves_label(
-    space: &StateSpace,
-    params: &HashMap<String, i64>,
-    peer: &Expr,
-    label: &str,
-) -> bool {
-    if let Expr::Ident(name) = peer {
-        if !params.contains_key(name) {
-            if let Ok(v) = space.var(name) {
-                return space.domain(v).label_code(label).is_some();
-            }
-        }
-    }
-    false
-}
-
 fn check_formula(
     space: &Arc<StateSpace>,
     params: &HashMap<String, i64>,
@@ -221,28 +149,10 @@ fn check_formula(
             }
         }
         Formula::Cmp(_, lhs, rhs) => {
-            let l = resolve_side(space, params, lhs);
-            let r = resolve_side(space, params, rhs);
-            match (l, r) {
-                (Side::Resolved, Side::Resolved) => {}
-                (Side::BareUnknown(n), Side::Resolved) => {
-                    if !peer_resolves_label(space, params, rhs, &n) {
-                        report_unknown(diags, stmt, &n, context, anchor);
-                    }
-                }
-                (Side::Resolved, Side::BareUnknown(n)) => {
-                    if !peer_resolves_label(space, params, lhs, &n) {
-                        report_unknown(diags, stmt, &n, context, anchor);
-                    }
-                }
-                // Like the evaluator, exactly the leftmost unresolved
-                // identifier is reported (lhs side first).
-                (Side::BareUnknown(n) | Side::Unknown(n), _) => {
-                    report_unknown(diags, stmt, &n, context, anchor);
-                }
-                (Side::Resolved, Side::Unknown(n)) => {
-                    report_unknown(diags, stmt, &n, context, anchor);
-                }
+            if let Err(EvalError::UnknownIdentifier(name)) =
+                Term::resolve_cmp(space, params, lhs, rhs)
+            {
+                report_unknown(diags, stmt, &name, context, anchor);
             }
         }
         Formula::Not(g) => check_formula(space, params, g, stmt, context, anchor, diags),
@@ -290,10 +200,12 @@ fn check_update_ranges<'g>(
     };
     for (idx, (target, rhs)) in stmt.assignments().iter().enumerate() {
         let Ok(var) = space.var(target) else { continue };
-        let dom = space.domain(var).clone();
+        let Ok(term) = Term::resolve_assign(space, stmt.params(), rhs, var) else {
+            continue;
+        };
+        let dom = space.domain(var);
         for state in enabled.iter() {
-            let val = eval_rhs(space, stmt, &dom, rhs, state);
-            let Some(val) = val else { break };
+            let val = term.eval_state(space, state);
             if val < 0 || !dom.contains(val as u64) {
                 diags.push(
                     Diagnostic::on_statement(
@@ -314,34 +226,70 @@ fn check_update_ranges<'g>(
     }
 }
 
-fn eval_rhs(
-    space: &StateSpace,
-    stmt: &Statement,
-    dom: &kpt_state::Domain,
-    rhs: &Expr,
-    state: u64,
-) -> Option<i64> {
-    crate::erase::eval_assign_rhs(space, stmt.params(), |l| dom.label_code(l), rhs, state)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use kpt_logic::{parse_formula, EvalContext};
-    use kpt_unity::Program;
+    use kpt_unity::{Program, UnityError};
 
-    /// KPT001 names exactly the identifier the evaluator's `EvalError`
-    /// names for the same formula, with the same message prefix — one
-    /// finding per comparison, leftmost witness, lhs side first.
-    #[test]
-    fn kpt001_matches_the_evaluator_witness_and_message() {
-        let space = StateSpace::builder()
+    fn space() -> Arc<StateSpace> {
+        StateSpace::builder()
             .nat_var("i", 4)
             .unwrap()
             .enum_var("z", ["bot", "m0"])
             .unwrap()
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    /// One statement `s: target := rhs if guard`, with parameter `k = 1`.
+    fn program(space: &Arc<StateSpace>, guard: &str, target: &str, rhs: &str) -> Program {
+        Program::builder("t", space)
+            .init_str("i = 0")
+            .unwrap()
+            .statement(
+                Statement::new("s")
+                    .guard_str(guard)
+                    .unwrap()
+                    .assign_str(target, rhs)
+                    .unwrap()
+                    .param("k", 1),
+            )
+            .build()
+            .unwrap()
+    }
+
+    fn kpt001(program: &Program) -> Vec<Diagnostic> {
+        let mut diags = Vec::new();
+        check(program, &ErasedGuards::new(program), &mut diags);
+        diags.retain(|d| d.code == DiagnosticCode::UnknownIdentifier);
+        diags
+    }
+
+    /// The identifier `Program::compile` and `SymbolicKbp::from_program`
+    /// both reject `program` for, or `None` when both accept it.
+    fn engines_witness(program: &Program) -> Option<String> {
+        let explicit = match program.compile() {
+            Ok(_) => None,
+            Err(UnityError::Eval(EvalError::UnknownIdentifier(n))) => Some(n),
+            Err(e) => panic!("compile: {e}"),
+        };
+        let symbolic = match kpt_bdd::SymbolicKbp::from_program(program) {
+            Ok(_) => None,
+            Err(kpt_bdd::BddError::Eval(EvalError::UnknownIdentifier(n))) => Some(n),
+            Err(e) => panic!("symbolic translation: {e}"),
+        };
+        assert_eq!(explicit, symbolic, "the two engines disagree");
+        explicit
+    }
+
+    /// KPT001 names exactly the identifier the evaluator, the compiler and
+    /// the BDD translator name for the same guard or assignment, with the
+    /// same message prefix — one finding per comparison or right-hand
+    /// side, leftmost witness, lhs side first.
+    #[test]
+    fn kpt001_matches_the_evaluator_witness_and_message() {
+        let space = space();
         let ctx = EvalContext::new(&space);
         for guard in [
             "ghost1 = ghost2",
@@ -349,27 +297,18 @@ mod tests {
             "i = ghost2 + ghost3",
             "m0 + 1 = z",
         ] {
-            let f = parse_formula(guard).unwrap();
-            let Err(EvalError::UnknownIdentifier(witness)) = ctx.eval(&f) else {
+            let Err(EvalError::UnknownIdentifier(witness)) =
+                ctx.eval(&parse_formula(guard).unwrap())
+            else {
                 panic!("`{guard}` should fail to evaluate");
             };
-            let program = Program::builder("t", &space)
-                .init_str("i = 0")
-                .unwrap()
-                .statement(
-                    Statement::new("s")
-                        .guard_formula(f.clone())
-                        .assign_str("i", "0")
-                        .unwrap(),
-                )
-                .build()
-                .unwrap();
-            let mut diags = Vec::new();
-            check(&program, &ErasedGuards::new(&program), &mut diags);
-            let found: Vec<&Diagnostic> = diags
-                .iter()
-                .filter(|d| d.code == DiagnosticCode::UnknownIdentifier)
-                .collect();
+            let program = program(&space, guard, "i", "0");
+            assert_eq!(
+                engines_witness(&program).as_ref(),
+                Some(&witness),
+                "{guard}"
+            );
+            let found = kpt001(&program);
             assert_eq!(found.len(), 1, "`{guard}` gave {found:?}");
             assert!(
                 found[0]
@@ -379,41 +318,53 @@ mod tests {
                 found[0].message
             );
         }
+        for (target, rhs, witness) in [
+            ("z", "m0 + 1", "m0"),
+            ("i", "ghost + i", "ghost"),
+            ("i", "i + ghost", "ghost"),
+        ] {
+            let program = program(&space, "true", target, rhs);
+            assert_eq!(engines_witness(&program).as_deref(), Some(witness), "{rhs}");
+            let found = kpt001(&program);
+            assert_eq!(found.len(), 1, "`{target} := {rhs}` gave {found:?}");
+            assert!(
+                found[0]
+                    .message
+                    .starts_with(&EvalError::unknown_identifier_message(witness)),
+                "`{target} := {rhs}`: lint said {:?}",
+                found[0].message
+            );
+        }
     }
 
     /// The enum-label fallback stays available to bare identifiers: lint
-    /// is silent exactly where the evaluator succeeds.
+    /// is silent exactly where the evaluator, the compiler and the BDD
+    /// translator succeed.
     #[test]
     fn kpt001_accepts_what_the_evaluator_accepts() {
-        let space = StateSpace::builder()
-            .nat_var("i", 4)
-            .unwrap()
-            .enum_var("z", ["bot", "m0"])
-            .unwrap()
-            .build()
-            .unwrap();
+        let space = space();
         let ctx = EvalContext::new(&space);
-        for guard in ["z = m0", "m0 = z", "i + 1 = i"] {
-            let f = parse_formula(guard).unwrap();
-            assert!(ctx.eval(&f).is_ok(), "`{guard}` should evaluate");
-            let program = Program::builder("t", &space)
-                .init_str("i = 0")
-                .unwrap()
-                .statement(
-                    Statement::new("s")
-                        .guard_formula(f)
-                        .assign_str("i", "0")
-                        .unwrap(),
-                )
-                .build()
-                .unwrap();
-            let mut diags = Vec::new();
-            check(&program, &ErasedGuards::new(&program), &mut diags);
+        for (guard, target, rhs) in [
+            ("z = m0", "i", "0"),
+            ("m0 = z", "i", "0"),
+            ("i + 1 = i", "i", "0"),
+            ("true", "z", "m0"),
+            ("true", "i", "k"),
+        ] {
             assert!(
-                !diags
-                    .iter()
-                    .any(|d| d.code == DiagnosticCode::UnknownIdentifier),
-                "`{guard}` gave {diags:?}"
+                ctx.eval(&parse_formula(guard).unwrap()).is_ok(),
+                "`{guard}` should evaluate"
+            );
+            let program = program(&space, guard, target, rhs);
+            assert_eq!(
+                engines_witness(&program),
+                None,
+                "{guard}, {target} := {rhs}"
+            );
+            let found = kpt001(&program);
+            assert!(
+                found.is_empty(),
+                "`{guard}`, `{target} := {rhs}` gave {found:?}"
             );
         }
     }

@@ -1,9 +1,8 @@
 //! Shared analysis helpers: polarity-aware knowledge erasure, guard
-//! predicates, identifier resolution, and a small expression evaluator
-//! mirroring the semantics of `kpt-unity`'s compiler.
+//! predicates and identifier collection.
 
 use std::cell::OnceCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use kpt_logic::{EvalContext, Expr, Formula};
@@ -205,57 +204,6 @@ pub fn expr_idents(e: &Expr, out: &mut BTreeSet<String>) {
         Expr::Add(a, b) | Expr::Sub(a, b) => {
             expr_idents(a, out);
             expr_idents(b, out);
-        }
-    }
-}
-
-/// Evaluate an assignment right-hand side at a state, mirroring the
-/// `kpt-unity` compiler: identifiers resolve as statement parameters, then
-/// program variables; a *bare* identifier right-hand side may also resolve
-/// as an enum label of the target variable's domain. `None` when an
-/// identifier does not resolve (reported as `KPT001` elsewhere).
-pub fn eval_assign_rhs(
-    space: &StateSpace,
-    params: &HashMap<String, i64>,
-    target_label_code: impl Fn(&str) -> Option<u64>,
-    rhs: &Expr,
-    state: u64,
-) -> Option<i64> {
-    // A bare identifier RHS gets the label fallback; compounds do not.
-    if let Expr::Ident(name) = rhs {
-        if let Some(&v) = params.get(name.as_str()) {
-            return Some(v);
-        }
-        if let Ok(var) = space.var(name) {
-            return Some(space.value(state, var) as i64);
-        }
-        return target_label_code(name).map(|c| c as i64);
-    }
-    eval_arith(space, params, rhs, state)
-}
-
-fn eval_arith(
-    space: &StateSpace,
-    params: &HashMap<String, i64>,
-    e: &Expr,
-    state: u64,
-) -> Option<i64> {
-    match e {
-        Expr::Const(n) => Some(*n),
-        Expr::Ident(name) => {
-            if let Some(&v) = params.get(name.as_str()) {
-                return Some(v);
-            }
-            space
-                .var(name)
-                .ok()
-                .map(|var| space.value(state, var) as i64)
-        }
-        Expr::Add(a, b) => {
-            Some(eval_arith(space, params, a, state)? + eval_arith(space, params, b, state)?)
-        }
-        Expr::Sub(a, b) => {
-            Some(eval_arith(space, params, a, state)? - eval_arith(space, params, b, state)?)
         }
     }
 }

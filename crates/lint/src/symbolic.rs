@@ -18,11 +18,11 @@
 
 use std::collections::BTreeSet;
 
-use kpt_logic::Formula;
+use kpt_logic::{Formula, Term};
 use kpt_state::{witness_state, Predicate, VarId};
 use kpt_unity::{CompiledProgram, Guard, Program, Statement};
 
-use crate::erase::{eval_assign_rhs, top_level_knowledge, ErasedGuards};
+use crate::erase::{top_level_knowledge, ErasedGuards};
 use crate::{Diagnostic, DiagnosticCode};
 
 /// At most this many overlap states are evaluated per statement pair.
@@ -120,42 +120,32 @@ fn check_races(
             let samples: Vec<u64> = overlap.iter().take(MAX_OVERLAP_SAMPLES).collect();
             'vars: for var in &shared {
                 let Ok(v) = space.var(var) else { continue };
-                let dom = space.domain(v).clone();
-                let ra = a
-                    .assignments()
-                    .iter()
-                    .find(|(w, _)| w == *var)
-                    .map(|(_, e)| e);
-                let rb = b
-                    .assignments()
-                    .iter()
-                    .find(|(w, _)| w == *var)
-                    .map(|(_, e)| e);
-                let (Some(ra), Some(rb)) = (ra, rb) else {
+                let resolve = |s: &Statement| {
+                    let (_, rhs) = s.assignments().iter().find(|(w, _)| w == *var)?;
+                    Term::resolve_assign(space, s.params(), rhs, v).ok()
+                };
+                let (Some(ta), Some(tb)) = (resolve(a), resolve(b)) else {
                     continue;
                 };
                 for &state in &samples {
-                    let va = eval_assign_rhs(space, a.params(), |l| dom.label_code(l), ra, state);
-                    let vb = eval_assign_rhs(space, b.params(), |l| dom.label_code(l), rb, state);
-                    if let (Some(va), Some(vb)) = (va, vb) {
-                        if va != vb {
-                            diags.push(
-                                Diagnostic::on_statement(
-                                    DiagnosticCode::WriteRace,
+                    let (va, vb) = (ta.eval_state(space, state), tb.eval_state(space, state));
+                    if va != vb {
+                        diags.push(
+                            Diagnostic::on_statement(
+                                DiagnosticCode::WriteRace,
+                                a.name(),
+                                format!(
+                                    "statements `{}` and `{}` are both enabled at a \
+                                     reachable state and write different values \
+                                     ({va} vs {vb}) to `{var}` — the outcome depends \
+                                     on scheduling",
                                     a.name(),
-                                    format!(
-                                        "statements `{}` and `{}` are both enabled at a \
-                                         reachable state and write different values \
-                                         ({va} vs {vb}) to `{var}` — the outcome depends \
-                                         on scheduling",
-                                        a.name(),
-                                        b.name()
-                                    ),
-                                )
-                                .with_witnesses(vec![witness_state(space, state)]),
-                            );
-                            break 'vars;
-                        }
+                                    b.name()
+                                ),
+                            )
+                            .with_witnesses(vec![witness_state(space, state)]),
+                        );
+                        break 'vars;
                     }
                 }
             }

@@ -14,6 +14,7 @@ use kpt_state::{exists_var, forall_var, Domain, Predicate, StateSpace, VarId};
 
 use crate::ast::{CmpOp, Expr, Formula};
 use crate::error::EvalError;
+use crate::term::Term;
 
 /// The signature of a pluggable knowledge semantics: given a process name
 /// and the semantic predicate of the body, produce the semantic predicate of
@@ -177,8 +178,11 @@ impl<'a> EvalContext<'a> {
                 }
             }
             Formula::Cmp(op, lhs, rhs) => {
-                let (l, r) = self.compile_cmp_sides(lhs, rhs)?;
-                Ok(op.apply(l.eval(self.space, state), r.eval(self.space, state)))
+                let (l, r) = Term::resolve_cmp(self.space, &self.params, lhs, rhs)?;
+                Ok(op.apply(
+                    l.eval_state(self.space, state),
+                    r.eval_state(self.space, state),
+                ))
             }
             Formula::Not(g) => Ok(!self.holds_at(g, state)?),
             Formula::And(a, b) => Ok(self.holds_at(a, state)? && self.holds_at(b, state)?),
@@ -214,95 +218,11 @@ impl<'a> EvalContext<'a> {
     }
 
     fn eval_cmp(&self, op: CmpOp, lhs: &Expr, rhs: &Expr) -> Result<Predicate, EvalError> {
-        let (l, r) = self.compile_cmp_sides(lhs, rhs)?;
+        let (l, r) = Term::resolve_cmp(self.space, &self.params, lhs, rhs)?;
         let space = self.space;
         Ok(Predicate::from_fn(space, |idx| {
-            op.apply(l.eval(space, idx), r.eval(space, idx))
+            op.apply(l.eval_state(space, idx), r.eval_state(space, idx))
         }))
-    }
-
-    /// Compile the two sides of a comparison, applying the enum-label
-    /// fallback: an unresolved side may be read as an enum label of the
-    /// other side's variable, but **only** when it is a *bare* identifier.
-    /// A compound side with an unresolved identifier never label-resolves —
-    /// `q + 1` has no reading as a label even when `q` names one. (The
-    /// pre-fuzzing fallback silently collapsed `(q + 1) = z` to
-    /// `code(q) = z`; kpt-lint's `KPT001` mirrors this function exactly.)
-    ///
-    /// On failure, exactly the leftmost unresolvable identifier (left side
-    /// first, in expression order within a side) is reported.
-    fn compile_cmp_sides(&self, lhs: &Expr, rhs: &Expr) -> Result<(CExpr, CExpr), EvalError> {
-        let l = self.compile(lhs);
-        let r = self.compile(rhs);
-        match (l, r) {
-            (Ok(l), Ok(r)) => Ok((l, r)),
-            (Err(name), Ok(r)) if matches!(lhs, Expr::Ident(_)) => {
-                let code = self.resolve_label(&name, &r)?;
-                Ok((CExpr::Const(code), r))
-            }
-            (Ok(l), Err(name)) if matches!(rhs, Expr::Ident(_)) => {
-                let code = self.resolve_label(&name, &l)?;
-                Ok((l, CExpr::Const(code)))
-            }
-            (Err(name), _) | (_, Err(name)) => Err(EvalError::UnknownIdentifier(name)),
-        }
-    }
-
-    fn resolve_label(&self, label: &str, peer: &CExpr) -> Result<i64, EvalError> {
-        if let CExpr::Var(v) = peer {
-            if let Some(code) = self.space.domain(*v).label_code(label) {
-                return Ok(code as i64);
-            }
-        }
-        Err(EvalError::UnknownIdentifier(label.to_owned()))
-    }
-
-    /// Compile an expression; `Err(name)` means a bare identifier could not
-    /// be resolved (it may still be an enum label in comparison context).
-    fn compile(&self, e: &Expr) -> Result<CExpr, String> {
-        match e {
-            Expr::Const(n) => Ok(CExpr::Const(*n)),
-            Expr::Ident(name) => {
-                if let Some(&v) = self.params.get(name) {
-                    Ok(CExpr::Const(v))
-                } else if let Ok(var) = self.space.var(name) {
-                    Ok(CExpr::Var(var))
-                } else {
-                    Err(name.clone())
-                }
-            }
-            Expr::Add(a, b) => Ok(CExpr::Add(
-                Box::new(self.compile(a).map_err(keep)?),
-                Box::new(self.compile(b).map_err(keep)?),
-            )),
-            Expr::Sub(a, b) => Ok(CExpr::Sub(
-                Box::new(self.compile(a).map_err(keep)?),
-                Box::new(self.compile(b).map_err(keep)?),
-            )),
-        }
-    }
-}
-
-fn keep(name: String) -> String {
-    name
-}
-
-#[derive(Debug)]
-enum CExpr {
-    Const(i64),
-    Var(VarId),
-    Add(Box<CExpr>, Box<CExpr>),
-    Sub(Box<CExpr>, Box<CExpr>),
-}
-
-impl CExpr {
-    fn eval(&self, space: &StateSpace, idx: u64) -> i64 {
-        match self {
-            CExpr::Const(n) => *n,
-            CExpr::Var(v) => space.value(idx, *v) as i64,
-            CExpr::Add(a, b) => a.eval(space, idx) + b.eval(space, idx),
-            CExpr::Sub(a, b) => a.eval(space, idx) - b.eval(space, idx),
-        }
     }
 }
 

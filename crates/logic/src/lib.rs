@@ -4,6 +4,7 @@
 //! ([`Formula`], [`Expr`]), a parser for a concrete UNITY-ish syntax
 //! ([`parse_formula`]), a round-tripping pretty-printer, and an evaluator
 //! ([`EvalContext`]) that maps formulas to exact [`kpt_state::Predicate`]s.
+//! [`Term`] resolves the identifiers of arithmetic once, for every engine.
 //!
 //! The paper (§5) extends UNITY so that *knowledge predicates may appear in
 //! guards*; accordingly the formula language includes the knowledge modality
@@ -54,6 +55,7 @@ mod error;
 mod eval;
 mod parser;
 pub mod surface;
+mod term;
 
 pub use ast::{CmpOp, Expr, Formula};
 pub use error::{render_span, EvalError, ParseError};
@@ -62,3 +64,4 @@ pub use parser::{parse_expr, parse_formula};
 pub use surface::{
     parse_program_ast, DeclAst, DomainAst, ProcessAst, ProgramAst, Span, StatementAst,
 };
+pub use term::Term;

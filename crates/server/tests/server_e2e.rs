@@ -193,6 +193,24 @@ fn every_request_type_round_trips() {
 }
 
 #[test]
+fn compound_label_sources_are_rejected_by_both_engines() {
+    // `m0` is only a label of `z`, and `m0 + 1` is not a bare side, so
+    // neither engine may read it as one.
+    let mut server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("binds");
+    let mut c = Client::connect(&server);
+    let src = json_str(include_str!("../../../tests/corpus/compound_label.kpt"));
+    for (id, engine) in [(1, "explicit"), (2, "symbolic")] {
+        c.send(&req(&format!(
+            "{{'id':{id},'type':'solve','source':'{src}','engine':'{engine}'}}"
+        )));
+        let (f, _) = c.recv_terminal(id);
+        assert_eq!(field_str(&f, "type"), "error", "{engine}: {f:?}");
+        assert!(field_str(&f, "message").contains("`m0`"), "{engine}: {f:?}");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn malformed_frames_do_not_kill_the_connection() {
     let config = ServerConfig {
         max_frame_bytes: 512,

@@ -11,10 +11,9 @@
 //! explicit knowledge semantics.
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use kpt_logic::{parse_formula, EvalContext, Expr, Formula, KnowledgeFn};
+use kpt_logic::{parse_formula, EvalContext, Formula, KnowledgeFn, Term};
 use kpt_state::{Predicate, StateSpace, VarId, VarSet};
 use kpt_transformers::DetTransition;
 
@@ -245,12 +244,10 @@ fn compile_statement(
     guard: &Predicate,
 ) -> Result<DetTransition, UnityError> {
     // 1. Compile assignment right-hand sides once.
-    let mut compiled: Vec<(VarId, CExpr)> = Vec::with_capacity(stmt.assignments().len());
+    let mut compiled: Vec<(VarId, Term)> = Vec::with_capacity(stmt.assignments().len());
     for (var_name, expr) in stmt.assignments() {
         let var = space.var(var_name)?;
-        let ce = compile_expr(space, stmt.params(), expr, var)
-            .map_err(|name| UnityError::Eval(kpt_logic::EvalError::UnknownIdentifier(name)))?;
-        compiled.push((var, ce));
+        compiled.push((var, Term::resolve_assign(space, stmt.params(), expr, var)?));
     }
 
     // 2. Evaluate the update at exactly the guard-enabled states; every
@@ -263,8 +260,8 @@ fn compile_statement(
         }
         // Simultaneous: all RHS read the pre-state `s`.
         let mut next = s;
-        for (var, ce) in &compiled {
-            let v = ce.eval(space, s);
+        for (var, term) in &compiled {
+            let v = term.eval_state(space, s);
             if v < 0 || !space.domain(*var).contains(v as u64) {
                 out_of_range = Some(UnityError::UpdateOutOfRange {
                     statement: stmt.name().to_owned(),
@@ -285,72 +282,6 @@ fn compile_statement(
     match out_of_range {
         Some(e) => Err(e),
         None => Ok(trans),
-    }
-}
-
-/// Compiled expression over raw domain codes.
-#[derive(Debug)]
-enum CExpr {
-    Const(i64),
-    Var(VarId),
-    Add(Box<CExpr>, Box<CExpr>),
-    Sub(Box<CExpr>, Box<CExpr>),
-}
-
-impl CExpr {
-    fn eval(&self, space: &StateSpace, idx: u64) -> i64 {
-        match self {
-            CExpr::Const(n) => *n,
-            CExpr::Var(v) => space.value(idx, *v) as i64,
-            CExpr::Add(a, b) => a.eval(space, idx) + b.eval(space, idx),
-            CExpr::Sub(a, b) => a.eval(space, idx) - b.eval(space, idx),
-        }
-    }
-}
-
-/// Compile an expression; a bare identifier that is neither a parameter nor
-/// a variable may still resolve as an enum label of the *target* variable's
-/// domain (so `z := bot` works). `Err(name)` reports the unresolved name.
-fn compile_expr(
-    space: &StateSpace,
-    params: &HashMap<String, i64>,
-    expr: &Expr,
-    target: VarId,
-) -> Result<CExpr, String> {
-    if let Expr::Ident(name) = expr {
-        if !params.contains_key(name) && space.var(name).is_err() {
-            if let Some(code) = space.domain(target).label_code(name) {
-                return Ok(CExpr::Const(code as i64));
-            }
-        }
-    }
-    compile_expr_inner(space, params, expr)
-}
-
-fn compile_expr_inner(
-    space: &StateSpace,
-    params: &HashMap<String, i64>,
-    expr: &Expr,
-) -> Result<CExpr, String> {
-    match expr {
-        Expr::Const(n) => Ok(CExpr::Const(*n)),
-        Expr::Ident(name) => {
-            if let Some(&v) = params.get(name) {
-                Ok(CExpr::Const(v))
-            } else if let Ok(var) = space.var(name) {
-                Ok(CExpr::Var(var))
-            } else {
-                Err(name.clone())
-            }
-        }
-        Expr::Add(a, b) => Ok(CExpr::Add(
-            Box::new(compile_expr_inner(space, params, a)?),
-            Box::new(compile_expr_inner(space, params, b)?),
-        )),
-        Expr::Sub(a, b) => Ok(CExpr::Sub(
-            Box::new(compile_expr_inner(space, params, a)?),
-            Box::new(compile_expr_inner(space, params, b)?),
-        )),
     }
 }
 

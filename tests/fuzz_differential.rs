@@ -25,6 +25,9 @@
 //! (and past finds) as named regression tests; the random campaign runs
 //! fresh cases on every invocation (`KPT_PROP_SEED` to replay).
 
+use knowledge_pt::bdd::SymbolicEvalContext;
+use knowledge_pt::core::CoreError;
+use knowledge_pt::logic::EvalError;
 use knowledge_pt::prelude::*;
 use kpt_testkit::genprog::{gen_program, GenConfig};
 use kpt_testkit::{check, Rng};
@@ -172,6 +175,64 @@ fn fuzz_formulas_round_trip() {
     });
 }
 
+/// `f` with every bare label side `L` of a comparison rewritten to
+/// `L + 0`, which no engine may read as a label.
+fn compound_labels(space: &StateSpace, f: &Formula) -> Formula {
+    let side = |e: &Expr| match e {
+        Expr::Ident(n) if space.var(n).is_err() => Expr::ident(n.as_str()).add(Expr::Const(0)),
+        _ => e.clone(),
+    };
+    let go = |g: &Formula| Box::new(compound_labels(space, g));
+    match f {
+        Formula::Const(_) | Formula::BoolVar(_) => f.clone(),
+        Formula::Cmp(op, a, b) => Formula::Cmp(*op, side(a), side(b)),
+        Formula::Not(g) => Formula::Not(go(g)),
+        Formula::And(a, b) => Formula::And(go(a), go(b)),
+        Formula::Or(a, b) => Formula::Or(go(a), go(b)),
+        Formula::Implies(a, b) => Formula::Implies(go(a), go(b)),
+        Formula::Iff(a, b) => Formula::Iff(go(a), go(b)),
+        Formula::Forall(v, g) => Formula::Forall(v.clone(), go(g)),
+        Formula::Exists(v, g) => Formula::Exists(v.clone(), go(g)),
+        Formula::Knows(p, g) => Formula::Knows(p.clone(), go(g)),
+    }
+}
+
+#[test]
+fn fuzz_formula_engines_agree() {
+    // `EvalContext` and `SymbolicEvalContext` on random formulas, with
+    // `K{P}` at SI = true over the view {x, z}: equal predicates, or the
+    // same `EvalError`. Each case runs again with its bare labels made
+    // compound, which both engines must reject naming the label.
+    let space = StateSpace::builder()
+        .bool_var("x")
+        .unwrap()
+        .nat_var("y", 4)
+        .unwrap()
+        .enum_var("z", ["red", "green", "blue"])
+        .unwrap()
+        .build()
+        .unwrap();
+    let bdd = BddSpace::new(&space);
+    let view = VarSet::from_vars([space.var("x").unwrap(), space.var("z").unwrap()]);
+    let views = vec![("P".to_owned(), view)];
+    let explicit_k = KnowledgeContext::new(&space, views.clone(), Predicate::tt(&space)).unwrap();
+    let k_fn = explicit_k.knowledge_fn();
+    let explicit = EvalContext::new(&space).with_knowledge(k_fn.as_ref());
+    let symbolic_k = SymbolicKnowledge::with_si(&bdd, views, &SymbolicPredicate::tt(&bdd));
+    let symbolic = SymbolicEvalContext::new(&bdd).with_knowledge(&symbolic_k);
+    check("fuzz_formula_engines", 1000, |rng| {
+        let src = kpt_testkit::genprog::gen_formula(rng);
+        let f = parse_formula(&src).unwrap_or_else(|e| panic!("{e}\nsource: {src}"));
+        for f in [compound_labels(&space, &f), f] {
+            match (explicit.eval(&f), symbolic.eval(&f)) {
+                (Ok(e), Ok(s)) => assert_eq!(s.to_explicit(), e, "{f}"),
+                (Err(e), Err(BddError::Eval(s))) => assert_eq!(s, e, "{f}"),
+                (e, s) => panic!("`{f}`: explicit {e:?}, symbolic {s:?}"),
+            }
+        }
+    });
+}
+
 #[test]
 fn fuzz_programs_round_trip() {
     // parse → display → parse reaches the canonical fixpoint for whole
@@ -209,11 +270,44 @@ fn corpus_figure1_cycles_everywhere() {
 #[test]
 fn corpus_enum_labels() {
     // Pinned by the campaign: bare enum labels may sit on either side of a
-    // comparison (`red = light`), and only *bare* identifiers ever
-    // label-resolve — the evaluator bug where compound sides collapsed to
-    // their label code was fixed in this PR (see
-    // `kpt_logic::eval` test `compound_sides_never_label_resolve`).
+    // comparison (`red = light`). Compound sides never label-resolve; see
+    // `corpus_compound_label`.
     oracle(include_str!("corpus/enum_labels.kpt"));
+}
+
+#[test]
+fn corpus_compound_label() {
+    // `(m0 + 1) = z` is arithmetic on a name that is only a label of `z`:
+    // the explicit engine, both symbolic configurations and lint's KPT001
+    // all reject it, naming `m0`.
+    let (_, program) = parse_program(include_str!("corpus/compound_label.kpt")).unwrap();
+    let unknown_m0 = EvalError::UnknownIdentifier("m0".into());
+    let explicit = Kbp::new(program.clone()).solve_iterative(MAX_ITERS);
+    assert!(
+        matches!(&explicit, Err(CoreError::Unity(UnityError::Eval(e))) if *e == unknown_m0),
+        "explicit: {explicit:?}"
+    );
+    for config in [BddConfig::serial(), gc_sift_config()] {
+        match SymbolicKbp::from_program_with(&program, config) {
+            Err(BddError::Eval(e)) => assert_eq!(e, unknown_m0),
+            Err(e) => panic!("symbolic: {e}"),
+            Ok(_) => panic!("symbolic accepted `(m0 + 1) = z`"),
+        }
+    }
+    let report = knowledge_pt::lint::lint_program_with(&program, &LintOptions::default());
+    let kpt001: Vec<_> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.code == DiagnosticCode::UnknownIdentifier)
+        .collect();
+    assert_eq!(kpt001.len(), 1, "{kpt001:?}");
+    assert!(
+        kpt001[0]
+            .message
+            .starts_with(&EvalError::unknown_identifier_message("m0")),
+        "{}",
+        kpt001[0].message
+    );
 }
 
 #[test]
