@@ -4,9 +4,9 @@
 //!
 //! Comparisons are the only atoms that need value arithmetic. Their sides
 //! resolve through `kpt_logic::Term`, as in the explicit evaluator, and
-//! are translated by enumerating the *support* of the two sides (the product
-//! of the mentioned variables' domains, never the whole state space) and
-//! OR-ing one cube per satisfying combination.
+//! are translated by walking the points of the two sides' *support* (the
+//! product of the mentioned variables' domains, never the whole state
+//! space) and OR-ing the cube of every point where the comparison holds.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -18,8 +18,7 @@ use crate::error::BddError;
 use crate::knowledge::SymbolicKnowledge;
 use crate::manager::{Manager, NodeId, FALSE};
 use crate::predicate::SymbolicPredicate;
-use crate::space::BddSpace;
-use crate::transition::SUPPORT_ENUM_MAX;
+use crate::space::{term_at, BddSpace};
 
 /// Evaluation context for symbolic formula evaluation: a space, named
 /// integer parameters, and optionally a knowledge operator for `K{i}`
@@ -182,36 +181,15 @@ impl<'a> SymbolicEvalContext<'a> {
         l.support(&mut support);
         r.support(&mut support);
         let vars: Vec<VarId> = support.iter().collect();
-        let combos: u64 = vars
-            .iter()
-            .map(|v| st_space.domain(*v).size())
-            .try_fold(1u64, |acc, s| acc.checked_mul(s))
-            .unwrap_or(u64::MAX);
-        if combos > SUPPORT_ENUM_MAX {
-            return Err(BddError::SupportTooLarge {
-                statement: format!("comparison `{}`", op.symbol()),
-                combinations: combos,
-                limit: SUPPORT_ENUM_MAX,
-            });
-        }
-        let mut values: HashMap<VarId, u64> = HashMap::new();
+        self.space
+            .check_support(&vars, || format!("comparison `{}`", op.symbol()))?;
         let mut acc = FALSE;
-        for combo in 0..combos {
-            let mut rest = combo;
-            for v in &vars {
-                let size = st_space.domain(*v).size();
-                values.insert(*v, rest % size);
-                rest /= size;
-            }
-            if op.apply(l.eval(|v| values[&v]), r.eval(|v| values[&v])) {
-                let mut cube = crate::manager::TRUE;
-                for v in vars.iter().rev() {
-                    let c = self.space.value_cube(mgr, *v, values[v], false);
-                    cube = mgr.and(cube, c);
+        self.space
+            .for_each_support_point(mgr, &vars, |mgr, point, cube| {
+                if op.apply(term_at(&l, &vars, point), term_at(&r, &vars, point)) {
+                    acc = mgr.or(acc, cube);
                 }
-                acc = mgr.or(acc, cube);
-            }
-        }
+            });
         Ok(mgr.and(acc, self.space.domain_ok_cur()))
     }
 }

@@ -6,13 +6,14 @@
 //! one candidate per step instead of `2^free` of them, and each step is a
 //! frontier fixpoint over transition relations instead of a bitset sweep.
 //!
-//! A program is translated **once**: per statement we precompute the
-//! update relation (from the assignments' support, never the full state
-//! space, unless an opaque `update_with` closure forces a bounded explicit
-//! sweep) and a `bad` set of pre-states whose assignment goes out of
-//! range. The update stays *conjunctively partitioned* — one small BDD per
-//! assignment plus identity and domain parts — so per candidate only the
-//! knowledge guards are re-evaluated, checked against `bad` (mirroring
+//! A program is translated **once**. Per statement, the shared partition
+//! builder (`transition::partition`, the one `SymbolicTransition::builder`
+//! uses) walks each assignment's support over the whole space and returns
+//! the update as a *conjunctive partition* plus a `bad` set of pre-states
+//! whose assignment goes out of range; the last write to a target wins.
+//! An opaque `update_with` closure, or a support too large to walk, falls
+//! back to a bounded explicit sweep. Per candidate only the knowledge
+//! guards are re-evaluated, checked against `bad` (mirroring
 //! `UnityError::UpdateOutOfRange` on enabled states exactly), and paired
 //! with the partition for early-quantified fixpoint images; the monolithic
 //! `ite(guard, update, identity)` relation is never materialised.
@@ -34,11 +35,11 @@ use crate::error::BddError;
 use crate::fixpoint::sst_raw_bounded;
 use crate::formula::SymbolicEvalContext;
 use crate::knowledge::SymbolicKnowledge;
-use crate::manager::{BddConfig, Manager, NodeId, FALSE, TRUE};
+use crate::manager::{BddConfig, Manager, NodeId, FALSE};
 use crate::predicate::SymbolicPredicate;
-use crate::space::BddSpace;
+use crate::space::{term_at, BddSpace};
 use crate::transition::{
-    ImageRel, Part, PartSet, SymbolicTransition, OPAQUE_ENUM_MAX, SUPPORT_ENUM_MAX,
+    partition, ImageRel, Part, PartSet, PointAssign, PointFn, SymbolicTransition, OPAQUE_ENUM_MAX,
 };
 
 /// How a statement's guard is obtained per candidate.
@@ -281,7 +282,7 @@ impl SymbolicKbp {
         let st_space = self.space.space();
         for (var, ce) in &stmt.assigns {
             let v = ce.eval_state(st_space, witness);
-            if v < 0 || !st_space.domain(*var).contains(v as u64) {
+            if !self.space.in_domain(*var, v) {
                 return BddError::UpdateOutOfRange {
                     statement: stmt.name.clone(),
                     var: st_space.name(*var).to_owned(),
@@ -426,26 +427,38 @@ fn translate_statement(
         ));
     }
 
-    let needs_explicit = stmt.update_fn().is_some()
-        || assigns.iter().any(|(_, ce)| {
-            let mut support = VarSet::default();
-            ce.support(&mut support);
-            support
+    // The whole space is the enabled set: knowledge guards change per
+    // candidate, so every pre-state gets its pair or its `bad` entry.
+    let symbolic = match stmt.update_fn() {
+        Some(_) => None,
+        None => {
+            let mut point_assigns: Vec<PointAssign<'_>> = assigns
                 .iter()
-                .map(|v| st_space.domain(v).size())
-                .try_fold(1u64, |acc, s| acc.checked_mul(s))
-                .unwrap_or(u64::MAX)
-                > SUPPORT_ENUM_MAX
-        });
-
-    let (parts, bad) = if needs_explicit {
-        let enabled = match guard {
-            GuardSpec::Static(g) => Some(g),
-            GuardSpec::Knowledge(_) => None,
-        };
-        translate_update_explicit(space, mgr, stmt, &assigns, enabled)?
-    } else {
-        translate_update_symbolic(space, mgr, &assigns)
+                .map(|(target, term)| {
+                    let mut support = VarSet::default();
+                    term.support(&mut support);
+                    let support: Vec<VarId> = support.iter().collect();
+                    let vars = support.clone();
+                    let value: PointFn<'_> =
+                        Box::new(move |point: &[u64]| term_at(term, &vars, point));
+                    (*target, support, value)
+                })
+                .collect();
+            match partition(space, mgr, space.domain_ok_cur(), &mut point_assigns) {
+                Err(BddError::SupportTooLarge { .. }) => None,
+                built => Some(built?),
+            }
+        }
+    };
+    let (parts, bad) = match symbolic {
+        Some(built) => built,
+        None => {
+            let static_guard = match guard {
+                GuardSpec::Static(g) => Some(g),
+                GuardSpec::Knowledge(_) => None,
+            };
+            translate_update_explicit(space, mgr, stmt, &assigns, static_guard)?
+        }
     };
 
     Ok(SymStatement {
@@ -458,125 +471,8 @@ fn translate_statement(
     })
 }
 
-/// The domain-constraint part both translations start from (skipped when
-/// every bit pattern is valid).
-fn domain_part(space: &Arc<BddSpace>, mgr: &mut Manager) -> Option<Part> {
-    let st_space = space.space();
-    let root = {
-        let c = space.domain_ok_cur();
-        let n = space.domain_ok_nxt();
-        mgr.and(c, n)
-    };
-    if root == TRUE {
-        return None;
-    }
-    let mut cur_supp = Vec::new();
-    for v in st_space.vars() {
-        let levels = space.var_cur_levels(v);
-        let nbits = levels.len() as u32;
-        if nbits > 0 && st_space.domain(v).size() != 1u64 << nbits {
-            cur_supp.extend(levels);
-        }
-    }
-    cur_supp.sort_unstable();
-    let nxt_supp: Vec<u32> = cur_supp.iter().map(|&l| l + 1).collect();
-    Some(Part {
-        root,
-        cur_supp,
-        nxt_supp,
-    })
-}
-
-/// Symbolic update translation: per assignment, enumerate the support's
-/// value combinations (never the full space). Duplicate targets follow
-/// UNITY's in-order overwrite — the last assignment wins the relation,
-/// every assignment contributes to the `bad` set. The result is a
-/// conjunctive partition: domain part, one part per effective assignment,
-/// one identity part per untouched variable.
-fn translate_update_symbolic(
-    space: &Arc<BddSpace>,
-    mgr: &mut Manager,
-    assigns: &[(VarId, Term)],
-) -> (PartSet, NodeId) {
-    let st_space = space.space();
-    let mut bad = FALSE;
-    let mut parts: Vec<Part> = Vec::new();
-    parts.extend(domain_part(space, mgr));
-    let mut assigned = vec![false; st_space.num_vars()];
-    for (idx, (target, ce)) in assigns.iter().enumerate() {
-        assigned[target.index()] = true;
-        let effective = assigns[idx + 1..].iter().all(|(t, _)| t != target);
-        let mut support_set = VarSet::default();
-        ce.support(&mut support_set);
-        let vars: Vec<VarId> = support_set.iter().collect();
-        let combos: u64 = vars.iter().map(|v| st_space.domain(*v).size()).product();
-        let mut values: HashMap<VarId, u64> = HashMap::new();
-        let mut rel_t = FALSE;
-        for combo in 0..combos {
-            let mut rest = combo;
-            for v in &vars {
-                let size = st_space.domain(*v).size();
-                values.insert(*v, rest % size);
-                rest /= size;
-            }
-            let out = ce.eval(|v| values[&v]);
-            let mut cube = TRUE;
-            for v in vars.iter().rev() {
-                let c = space.value_cube(mgr, *v, values[v], false);
-                cube = mgr.and(cube, c);
-            }
-            if out < 0 || !st_space.domain(*target).contains(out as u64) {
-                bad = mgr.or(bad, cube);
-            } else if effective {
-                let tgt = space.value_cube(mgr, *target, out as u64, true);
-                let pair = mgr.and(cube, tgt);
-                rel_t = mgr.or(rel_t, pair);
-            }
-        }
-        if effective {
-            let mut cur_supp: Vec<u32> =
-                vars.iter().flat_map(|v| space.var_cur_levels(*v)).collect();
-            cur_supp.sort_unstable();
-            cur_supp.dedup();
-            let nxt_supp: Vec<u32> = space
-                .var_cur_levels(*target)
-                .into_iter()
-                .map(|l| l + 1)
-                .collect();
-            parts.push(Part {
-                root: rel_t,
-                cur_supp,
-                nxt_supp,
-            });
-        }
-    }
-    for v in st_space.vars() {
-        if assigned[v.index()] {
-            continue;
-        }
-        let levels = space.var_cur_levels(v);
-        if levels.is_empty() {
-            continue;
-        }
-        let mut same_all = TRUE;
-        for &level in levels.iter().rev() {
-            let c = mgr.literal(level);
-            let n = mgr.literal(level + 1);
-            let same = mgr.iff(c, n);
-            same_all = mgr.and(same_all, same);
-        }
-        let nxt_supp: Vec<u32> = levels.iter().map(|&l| l + 1).collect();
-        parts.push(Part {
-            root: same_all,
-            cur_supp: levels,
-            nxt_supp,
-        });
-    }
-    (PartSet::new(space, parts), bad)
-}
-
-/// Explicit fallback for opaque `update_with` closures (or oversized
-/// supports): sweep the states once, building pair cubes. A static guard
+/// Explicit fallback for opaque `update_with` closures and supports too
+/// large to walk: sweep the states once, building pair cubes. A static guard
 /// `enabled` limits the sweep to the states it enables, so an update never
 /// runs where its statement has no effect (§5), exactly as in
 /// `kpt_unity`'s compile; a knowledge guard (`None`) sweeps every state.
@@ -607,7 +503,7 @@ fn translate_update_explicit(
         let mut next = s;
         for (var, ce) in assigns {
             let v = ce.eval_state(st_space, s);
-            if v < 0 || !st_space.domain(*var).contains(v as u64) {
+            if !space.in_domain(*var, v) {
                 bad_states.push(s);
                 continue 's;
             }
@@ -619,34 +515,18 @@ fn translate_update_explicit(
         }
         pairs.push(space.pair_cube(mgr, s, next));
     }
-    let upd_rel = or_tree(mgr, pairs);
+    let upd_rel = mgr.or_all(pairs);
     let bad_cubes = bad_states
         .into_iter()
         .map(|s| space.state_cube(mgr, s, false))
         .collect();
-    let bad = or_tree(mgr, bad_cubes);
+    let bad = mgr.or_all(bad_cubes);
     let part = Part {
         root: upd_rel,
         cur_supp: space.cur_levels().to_vec(),
         nxt_supp: space.nxt_levels().to_vec(),
     };
     Ok((PartSet::new(space, vec![part]), bad))
-}
-
-fn or_tree(mgr: &mut Manager, mut layer: Vec<NodeId>) -> NodeId {
-    while layer.len() > 1 {
-        layer = layer
-            .chunks(2)
-            .map(|c| {
-                if c.len() == 2 {
-                    mgr.or(c[0], c[1])
-                } else {
-                    c[0]
-                }
-            })
-            .collect();
-    }
-    layer.first().copied().unwrap_or(FALSE)
 }
 
 #[cfg(test)]
@@ -887,5 +767,92 @@ mod tests {
         }
         // The explicit pipeline rejects the same program the same way.
         assert!(program.compile().is_err());
+    }
+
+    #[test]
+    fn duplicate_targets_let_the_last_write_win_on_every_route() {
+        let space = StateSpace::builder()
+            .nat_var("i", 4)
+            .unwrap()
+            .build()
+            .unwrap();
+        let i = space.var("i").unwrap();
+        let program = Program::builder("dup", &space)
+            .statement(
+                Statement::new("s")
+                    .assign_str("i", "1")
+                    .unwrap()
+                    .assign_str("i", "2")
+                    .unwrap(),
+            )
+            .build()
+            .unwrap();
+        let want = kpt_state::Predicate::from_var_fn(&space, i, |v| v == 2);
+        let compiled = program.compile().unwrap();
+        let tt = kpt_state::Predicate::tt(&space);
+        assert_eq!(compiled.transitions()[0].sp(&tt), want, "Program::compile");
+        let symbolic = SymbolicKbp::from_program(&program).unwrap();
+        let stt = SymbolicPredicate::tt(symbolic.space());
+        let stmt = symbolic.statement_transition("s", &stt).unwrap();
+        assert_eq!(stmt.sp(&stt).to_explicit(), want, "statement_transition");
+        let built = SymbolicTransition::builder(symbolic.space())
+            .assign(i, &[], |_| 1)
+            .assign(i, &[], |_| 2)
+            .build()
+            .unwrap();
+        assert_eq!(built.sp(&stt).to_explicit(), want, "builder");
+    }
+
+    /// `a: nat<256>, b: nat<257>, x: nat<2>`: a support reading `a` and
+    /// `b` has 65 792 points, above the walk limit, while the 131 584
+    /// states stay within the explicit sweep's.
+    fn wide_program(stmt: Statement) -> Program {
+        let space = StateSpace::builder()
+            .nat_var("a", 256)
+            .unwrap()
+            .nat_var("b", 257)
+            .unwrap()
+            .nat_var("x", 2)
+            .unwrap()
+            .build()
+            .unwrap();
+        Program::builder("wide", &space)
+            .init_str("a = 0 /\\ b = 0 /\\ x = 0")
+            .unwrap()
+            .statement(stmt)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn oversized_assignment_supports_fall_back_to_the_explicit_sweep() {
+        let program = wide_program(
+            Statement::new("set")
+                .assign_str("x", "a + b - a - b + 1")
+                .unwrap(),
+        );
+        let symbolic = SymbolicKbp::from_program(&program).unwrap();
+        let s = symbolic.solve_iterative(4).unwrap();
+        let e = Kbp::new(program).solve_iterative(4).unwrap();
+        assert_eq!(e.solution().map(kpt_state::Predicate::count), Some(2));
+        assert_eq!(s.map(|p| p.to_explicit()), e);
+    }
+
+    #[test]
+    fn oversized_guard_supports_are_refused() {
+        let program = wide_program(
+            Statement::new("set")
+                .guard_str("a + b = 300")
+                .unwrap()
+                .assign_str("x", "1")
+                .unwrap(),
+        );
+        assert!(matches!(
+            SymbolicKbp::from_program(&program),
+            Err(BddError::SupportTooLarge {
+                combinations: 65_792,
+                ..
+            })
+        ));
     }
 }

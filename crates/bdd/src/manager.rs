@@ -530,6 +530,24 @@ impl Manager {
         self.ite(a, TRUE, b)
     }
 
+    /// Disjunction of `layer` as a balanced OR-tree, which keeps the
+    /// intermediate BDDs smaller than a left fold over many cubes does.
+    pub(crate) fn or_all(&mut self, mut layer: Vec<NodeId>) -> NodeId {
+        while layer.len() > 1 {
+            layer = layer
+                .chunks(2)
+                .map(|c| {
+                    if c.len() == 2 {
+                        self.or(c[0], c[1])
+                    } else {
+                        c[0]
+                    }
+                })
+                .collect();
+        }
+        layer.first().copied().unwrap_or(FALSE)
+    }
+
     pub(crate) fn not(&mut self, a: NodeId) -> NodeId {
         self.ite(a, FALSE, TRUE)
     }

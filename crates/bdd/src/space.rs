@@ -21,10 +21,22 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use kpt_logic::Term;
 use kpt_obs::Field;
 use kpt_state::{Predicate, StateSpace, VarId};
 
+use crate::error::BddError;
 use crate::manager::{BddConfig, GcStats, Manager, NodeId, ReorderStats, FALSE, TRUE};
+
+/// Cap on the points of one support walk: the value combinations of the
+/// variables an assignment or a comparison reads.
+pub(crate) const SUPPORT_ENUM_MAX: u64 = 1 << 16;
+
+/// `term` at one point of a support walk over `support`, which must
+/// cover the term's own support.
+pub(crate) fn term_at(term: &Term, support: &[VarId], point: &[u64]) -> i64 {
+    term.eval(|v| point[support.binary_search(&v).expect("support covers the term")])
+}
 
 /// Bit layout of one program variable inside a [`BddSpace`].
 #[derive(Debug, Clone, Copy)]
@@ -360,21 +372,72 @@ impl BddSpace {
             p.space().same_shape(&self.space),
             "predicate from a different state space"
         );
-        let mut layer: Vec<NodeId> = p.iter().map(|s| self.state_cube(mgr, s, false)).collect();
-        // Balanced OR-tree keeps intermediate BDDs small.
-        while layer.len() > 1 {
-            layer = layer
-                .chunks(2)
-                .map(|c| {
-                    if c.len() == 2 {
-                        mgr.or(c[0], c[1])
-                    } else {
-                        c[0]
-                    }
-                })
-                .collect();
+        let cubes = p.iter().map(|s| self.state_cube(mgr, s, false)).collect();
+        mgr.or_all(cubes)
+    }
+
+    /// Does `value` lie in `v`'s domain? Negative values never do.
+    pub(crate) fn in_domain(&self, v: VarId, value: i64) -> bool {
+        u64::try_from(value).is_ok_and(|x| self.space.domain(v).contains(x))
+    }
+
+    /// Refuse a support with more than [`SUPPORT_ENUM_MAX`] points (the
+    /// product of its domain sizes, saturating at `u64::MAX`); `what`
+    /// names the translated item in the error.
+    pub(crate) fn check_support(
+        &self,
+        support: &[VarId],
+        what: impl FnOnce() -> String,
+    ) -> Result<(), BddError> {
+        let combinations = support
+            .iter()
+            .try_fold(1u64, |acc, v| acc.checked_mul(self.space.domain(*v).size()))
+            .unwrap_or(u64::MAX);
+        if combinations > SUPPORT_ENUM_MAX {
+            return Err(BddError::SupportTooLarge {
+                statement: what(),
+                combinations,
+                limit: SUPPORT_ENUM_MAX,
+            });
         }
-        layer.first().copied().unwrap_or(FALSE)
+        Ok(())
+    }
+
+    /// Visit every point of `support` (ascending, no repeats) in
+    /// mixed-radix order, first variable fastest. `visit` gets the point's
+    /// values, aligned with `support`, and the current-level cube fixing
+    /// them. Callers bound the walk with [`BddSpace::check_support`] first.
+    pub(crate) fn for_each_support_point(
+        &self,
+        mgr: &mut Manager,
+        support: &[VarId],
+        mut visit: impl FnMut(&mut Manager, &[u64], NodeId),
+    ) {
+        debug_assert!(support.windows(2).all(|w| w[0] < w[1]), "sorted support");
+        let mut point = vec![0u64; support.len()];
+        let mut lits: Vec<(u32, bool)> = Vec::new();
+        loop {
+            lits.clear();
+            for (v, &x) in support.iter().zip(&point) {
+                let vb = self.bits[v.index()];
+                lits.extend((0..vb.nbits).map(|k| (2 * (vb.offset + k), x >> k & 1 == 1)));
+            }
+            let cube = mgr.cube(&mut lits);
+            visit(mgr, &point, cube);
+            // Advance the odometer; past its last digit the walk is done.
+            let mut digit = 0;
+            loop {
+                let Some(x) = point.get_mut(digit) else {
+                    return;
+                };
+                *x += 1;
+                if *x < self.space.domain(support[digit]).size() {
+                    break;
+                }
+                *x = 0;
+                digit += 1;
+            }
+        }
     }
 
     /// OR of the value cubes of `v` where `f` holds, restricted — the

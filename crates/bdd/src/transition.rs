@@ -24,10 +24,6 @@ use crate::manager::{Manager, NodeId, FALSE, TRUE};
 use crate::predicate::SymbolicPredicate;
 use crate::space::BddSpace;
 
-/// Cap on support value combinations enumerated when translating one
-/// assignment into a relation (product of the support variables' domains).
-pub(crate) const SUPPORT_ENUM_MAX: u64 = 1 << 16;
-
 /// Cap on explicit states swept when falling back to state-by-state
 /// translation of an opaque update function.
 pub(crate) const OPAQUE_ENUM_MAX: u64 = 1 << 20;
@@ -378,22 +374,10 @@ impl SymbolicTransition {
         );
         let n = space.space().num_states();
         let mut mgr = space.lock();
-        let mut layer: Vec<NodeId> = (0..n)
+        let pairs = (0..n)
             .map(|s| space.pair_cube(&mut mgr, s, t.step(s)))
             .collect();
-        while layer.len() > 1 {
-            layer = layer
-                .chunks(2)
-                .map(|c| {
-                    if c.len() == 2 {
-                        mgr.or(c[0], c[1])
-                    } else {
-                        c[0]
-                    }
-                })
-                .collect();
-        }
-        let rel = layer.first().copied().unwrap_or(FALSE);
+        let rel = mgr.or_all(pairs);
         drop(mgr);
         SymbolicTransition::from_root(space, rel)
     }
@@ -511,9 +495,123 @@ impl SymbolicTransition {
 
 type AssignFn = Box<dyn Fn(&[u64]) -> u64>;
 
+/// The value of one assignment at a support point; a value outside the
+/// target's domain, negative included, marks the point bad.
+pub(crate) type PointFn<'a> = Box<dyn FnMut(&[u64]) -> i64 + 'a>;
+
+/// One assignment as [`partition`] reads it: the target, its support
+/// (ascending, no repeats) and its value function.
+pub(crate) type PointAssign<'a> = (VarId, Vec<VarId>, PointFn<'a>);
+
+/// Translate a simultaneous multiple assignment into a conjunctive
+/// partition by walking each assignment's support, never the full space.
+/// The parts are the domain constraints of both copies, one part per
+/// effective assignment (the last write to a target wins) and one identity
+/// part per untouched variable. A support point that no state of
+/// `enabled` reads is skipped without running its value function. A value
+/// outside the target's domain adds the point's cube to the returned `bad`
+/// set instead of a pair, whether or not its write is the effective one.
+///
+/// # Errors
+/// [`BddError::SupportTooLarge`] for a support above `SUPPORT_ENUM_MAX`
+/// points, before any walk starts.
+pub(crate) fn partition(
+    space: &BddSpace,
+    mgr: &mut Manager,
+    enabled: NodeId,
+    assigns: &mut [PointAssign<'_>],
+) -> Result<(PartSet, NodeId), BddError> {
+    let st_space = space.space();
+    for (target, support, _) in assigns.iter() {
+        space.check_support(support, || st_space.name(*target).to_owned())?;
+    }
+    let next_of = |levels: &[u32]| levels.iter().map(|&l| l + 1).collect::<Vec<u32>>();
+    let mut parts: Vec<Part> = Vec::new();
+    // Domain constraints on both copies, scheduled first so their levels
+    // die at their other occurrences.
+    let domain = {
+        let c = space.domain_ok_cur();
+        let n = space.domain_ok_nxt();
+        mgr.and(c, n)
+    };
+    if domain != TRUE {
+        // Only variables with junk bit patterns carry a constraint.
+        let cur_supp: Vec<u32> = st_space
+            .vars()
+            .flat_map(|v| {
+                let levels = space.var_cur_levels(v);
+                if st_space.domain(v).size() == 1u64 << levels.len() {
+                    Vec::new()
+                } else {
+                    levels
+                }
+            })
+            .collect();
+        parts.push(Part {
+            root: domain,
+            nxt_supp: next_of(&cur_supp),
+            cur_supp,
+        });
+    }
+    let mut last_write = vec![None; st_space.num_vars()];
+    for (i, (target, _, _)) in assigns.iter().enumerate() {
+        last_write[target.index()] = Some(i);
+    }
+    let mut bad = FALSE;
+    for (i, (target, support, value)) in assigns.iter_mut().enumerate() {
+        let effective = last_write[target.index()] == Some(i);
+        let mut rel = FALSE;
+        space.for_each_support_point(mgr, support, |mgr, point, cube| {
+            if mgr.and(enabled, cube) == FALSE {
+                return; // no enabled state reads these values
+            }
+            let out = value(point);
+            if !space.in_domain(*target, out) {
+                bad = mgr.or(bad, cube);
+            } else if effective {
+                let tgt = space.value_cube(mgr, *target, out as u64, true);
+                let pair = mgr.and(cube, tgt);
+                rel = mgr.or(rel, pair);
+            }
+        });
+        if effective {
+            let cur_supp: Vec<u32> = support
+                .iter()
+                .flat_map(|v| space.var_cur_levels(*v))
+                .collect();
+            parts.push(Part {
+                root: rel,
+                cur_supp,
+                nxt_supp: next_of(&space.var_cur_levels(*target)),
+            });
+        }
+    }
+    // Unassigned variables keep their value bit-for-bit, one identity part
+    // per variable.
+    for v in st_space.vars() {
+        let levels = space.var_cur_levels(v);
+        if last_write[v.index()].is_some() || levels.is_empty() {
+            continue;
+        }
+        let mut same_all = TRUE;
+        for &level in levels.iter().rev() {
+            let c = mgr.literal(level);
+            let n = mgr.literal(level + 1);
+            let same = mgr.iff(c, n);
+            same_all = mgr.and(same_all, same);
+        }
+        parts.push(Part {
+            root: same_all,
+            nxt_supp: next_of(&levels),
+            cur_supp: levels,
+        });
+    }
+    Ok((PartSet::new(space, parts), bad))
+}
+
 /// Builder for a guarded, simultaneous multiple-assignment relation,
-/// translated assignment-by-assignment from support enumerations (never
-/// touching the full state space) into a conjunctive partition.
+/// translated into a conjunctive partition by walking each assignment's
+/// support, never the full state space.
 pub struct SymbolicTransitionBuilder {
     space: Arc<BddSpace>,
     guard: Option<NodeId>,
@@ -533,7 +631,8 @@ impl SymbolicTransitionBuilder {
     }
 
     /// Assign `target := f(values of support)`, evaluated simultaneously
-    /// with every other assignment (all read the pre-state).
+    /// with every other assignment (all read the pre-state). When several
+    /// assignments write one target, the last one wins.
     pub fn assign(
         mut self,
         target: VarId,
@@ -544,135 +643,74 @@ impl SymbolicTransitionBuilder {
         self
     }
 
-    /// Finish the relation, kept as one conjunctive part per assignment
-    /// (plus identity parts for untouched variables and one for the domain
-    /// constraints). Denotationally this is `ite(guard, update, identity)`
-    /// conjoined with both domain constraints, exactly as the monolithic
-    /// engine built it. Support combinations unreachable under the guard
-    /// are skipped, so guard-protected assignments may go out of range
-    /// without error — UNITY's enabled-states-only semantics.
+    /// Finish the relation: a domain part, one part per assigned variable
+    /// (its last write) and one identity part per untouched variable.
+    /// Denotationally this is `ite(guard, update, identity)` conjoined
+    /// with both domain constraints. Support points no guard state reads
+    /// never reach their assignment function, so guard-protected
+    /// assignments may go out of range without error — UNITY's
+    /// enabled-states-only semantics.
+    ///
+    /// # Errors
+    /// [`BddError::SupportTooLarge`] for a support above the enumeration
+    /// limit, and [`BddError::UpdateOutOfRange`] at some enabled state
+    /// where an assignment's value (a value above `i64::MAX` included)
+    /// lies outside its target's domain.
     pub fn build(self) -> Result<SymbolicTransition, BddError> {
         let space = &self.space;
         let st_space = space.space();
-        let mut mgr = space.lock();
-        let enabled_root = self.guard.unwrap_or_else(|| space.domain_ok_cur());
-        let mut parts: Vec<Part> = Vec::new();
-        // Domain constraints on both copies, scheduled first so their
-        // levels die at their other occurrences.
-        {
-            let c = space.domain_ok_cur();
-            let n = space.domain_ok_nxt();
-            let root = mgr.and(c, n);
-            if root != TRUE {
-                let mut cur_supp = Vec::new();
-                for v in st_space.vars() {
-                    let levels = space.var_cur_levels(v);
-                    let nbits = levels.len() as u32;
-                    if nbits > 0 && st_space.domain(v).size() != 1u64 << nbits {
-                        cur_supp.extend(levels);
+        // The functions read their support in the caller's order; the walk
+        // hands points over in ascending order.
+        let mut assigns: Vec<PointAssign<'_>> = self
+            .assigns
+            .iter()
+            .map(|(target, support, f)| {
+                let mut sorted = support.clone();
+                sorted.sort_unstable();
+                sorted.dedup();
+                let slots: Vec<usize> = support
+                    .iter()
+                    .map(|v| sorted.binary_search(v).expect("sorted from support"))
+                    .collect();
+                let mut args = vec![0u64; support.len()];
+                let value = move |point: &[u64]| {
+                    for (arg, &slot) in args.iter_mut().zip(&slots) {
+                        *arg = point[slot];
                     }
-                }
-                cur_supp.sort_unstable();
-                let nxt_supp: Vec<u32> = cur_supp.iter().map(|&l| l + 1).collect();
-                parts.push(Part {
-                    root,
-                    cur_supp,
-                    nxt_supp,
-                });
-            }
-        }
-        let mut assigned = vec![false; st_space.num_vars()];
-        for (target, support, f) in &self.assigns {
-            assigned[target.index()] = true;
-            let combos: u64 = support
-                .iter()
-                .map(|v| st_space.domain(*v).size())
-                .try_fold(1u64, |acc, s| acc.checked_mul(s))
-                .unwrap_or(u64::MAX);
-            if combos > SUPPORT_ENUM_MAX {
-                return Err(BddError::SupportTooLarge {
-                    statement: st_space.name(*target).to_string(),
-                    combinations: combos,
-                    limit: SUPPORT_ENUM_MAX,
-                });
-            }
-            let mut values = vec![0u64; support.len()];
-            let mut rel_t = FALSE;
-            for combo in 0..combos {
-                let mut rest = combo;
-                for (slot, v) in values.iter_mut().zip(support.iter()) {
-                    let size = st_space.domain(*v).size();
-                    *slot = rest % size;
-                    rest /= size;
-                }
-                let mut support_cube = TRUE;
-                for (v, x) in support.iter().zip(values.iter()) {
-                    let c = space.value_cube(&mut mgr, *v, *x, false);
-                    support_cube = mgr.and(support_cube, c);
-                }
-                let enabled = mgr.and(enabled_root, support_cube);
-                if enabled == FALSE {
-                    continue; // no enabled state reads these values
-                }
-                let out = f(&values);
-                if !st_space.domain(*target).contains(out) {
-                    let path = mgr.witness_path(enabled).expect("enabled is satisfiable");
-                    let witness = space.decode_cur_path(&path);
-                    return Err(BddError::UpdateOutOfRange {
-                        statement: st_space.name(*target).to_string(),
-                        var: st_space.name(*target).to_string(),
-                        state: st_space.render_state(witness),
-                        value: out as i64,
-                    });
-                }
-                let tgt = space.value_cube(&mut mgr, *target, out, true);
-                let cube = mgr.and(support_cube, tgt);
-                rel_t = mgr.or(rel_t, cube);
-            }
-            let mut cur_supp: Vec<u32> = support
-                .iter()
-                .flat_map(|v| space.var_cur_levels(*v))
-                .collect();
-            cur_supp.sort_unstable();
-            cur_supp.dedup();
-            let nxt_supp: Vec<u32> = space
-                .var_cur_levels(*target)
-                .into_iter()
-                .map(|l| l + 1)
-                .collect();
-            parts.push(Part {
-                root: rel_t,
-                cur_supp,
-                nxt_supp,
-            });
-        }
-        // Unassigned variables keep their value bit-for-bit, one identity
-        // part per variable.
-        for v in st_space.vars() {
-            if assigned[v.index()] {
-                continue;
-            }
-            let levels = space.var_cur_levels(v);
-            if levels.is_empty() {
-                continue; // singleton domain: nothing to preserve
-            }
-            let mut same_all = TRUE;
-            for &level in levels.iter().rev() {
-                let c = mgr.literal(level);
-                let n = mgr.literal(level + 1);
-                let same = mgr.iff(c, n);
-                same_all = mgr.and(same_all, same);
-            }
-            let nxt_supp: Vec<u32> = levels.iter().map(|&l| l + 1).collect();
-            parts.push(Part {
-                root: same_all,
-                cur_supp: levels,
-                nxt_supp,
+                    // Above `i64::MAX` wraps negative: out of range.
+                    f(&args) as i64
+                };
+                let value: PointFn<'_> = Box::new(value);
+                (*target, sorted, value)
+            })
+            .collect();
+        let mut mgr = space.lock();
+        let guard = self.guard.unwrap_or_else(|| space.domain_ok_cur());
+        let (set, bad) = partition(space, &mut mgr, guard, &mut assigns)?;
+        let enabled_bad = mgr.and(guard, bad);
+        if let Some(path) = mgr.witness_path(enabled_bad) {
+            drop(mgr);
+            let witness = space.decode_cur_path(&path);
+            let (var, value) = assigns
+                .iter_mut()
+                .find_map(|(target, support, value)| {
+                    let point: Vec<u64> = support
+                        .iter()
+                        .map(|v| st_space.value(witness, *v))
+                        .collect();
+                    let out = value(&point);
+                    (!space.in_domain(*target, out)).then_some((*target, out))
+                })
+                .expect("a state in the bad set has an offending assignment");
+            return Err(BddError::UpdateOutOfRange {
+                statement: st_space.name(var).to_owned(),
+                var: st_space.name(var).to_owned(),
+                state: st_space.render_state(witness),
+                value,
             });
         }
         let has_else = self.guard.is_some();
-        let set = PartSet::new(space, parts);
-        let t = SymbolicTransition::from_parts(space, &mut mgr, enabled_root, has_else, set);
+        let t = SymbolicTransition::from_parts(space, &mut mgr, guard, has_else, set);
         drop(mgr);
         Ok(t)
     }
@@ -785,5 +823,52 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, BddError::UpdateOutOfRange { .. }));
+    }
+
+    #[test]
+    fn builder_runs_assignments_on_enabled_points_only() {
+        let (space, bdd) = setup();
+        let i = space.var("i").unwrap();
+        let guard = SymbolicPredicate::from_var_fn(&bdd, i, |x| x > 0);
+        let built = SymbolicTransition::builder(&bdd)
+            .guard(&guard)
+            .assign(i, &[i], |v| {
+                assert!(v[0] > 0, "assignment ran at i = 0, where the guard fails");
+                v[0] - 1
+            })
+            .build()
+            .unwrap();
+        let det = DetTransition::from_fn(&space, |s| {
+            let v = space.value(s, i);
+            space.with_value(s, i, v.saturating_sub(1))
+        });
+        assert_eq!(built.rel(), SymbolicTransition::from_det(&bdd, &det).rel());
+    }
+
+    #[test]
+    fn builder_refuses_supports_above_the_walk_limit() {
+        // 256 × 257 = 65 792 support points, above 2^16.
+        let space = StateSpace::builder()
+            .nat_var("a", 256)
+            .unwrap()
+            .nat_var("b", 257)
+            .unwrap()
+            .nat_var("x", 2)
+            .unwrap()
+            .build()
+            .unwrap();
+        let bdd = BddSpace::new(&space);
+        let [a, b, x] = ["a", "b", "x"].map(|n| space.var(n).unwrap());
+        let err = SymbolicTransition::builder(&bdd)
+            .assign(x, &[a, b], |v| (v[0] + v[1]) % 2)
+            .build()
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            BddError::SupportTooLarge {
+                combinations: 65_792,
+                ..
+            }
+        ));
     }
 }

@@ -61,7 +61,9 @@ pub mod codes {
     /// The KBP has no iterative solution (cycle or inconclusive), so the
     /// requested property cannot be evaluated against one.
     pub const UNSOLVED: &str = "unsolved";
-    /// A property formula failed to parse or evaluate.
+    /// A formula failed to parse or evaluate: a requested property, or a
+    /// guard or assignment of the program (unknown identifier, type
+    /// error, …). Both engines word it as the evaluator does.
     pub const EVAL: &str = "eval";
     /// The server is draining and accepts no new work.
     pub const SHUTTING_DOWN: &str = "shutting_down";

@@ -35,13 +35,13 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use kpt_bdd::BddError;
-use kpt_core::IterativeOutcome;
+use kpt_core::{CoreError, IterativeOutcome};
 use kpt_logic::KnowledgeFn;
 use kpt_obs::Verdict;
 use kpt_state::{Predicate, PredicateOps};
 use kpt_testkit::pool::{num_threads, TaskPool};
 use kpt_transformers::iterate_to_fixpoint;
-use kpt_unity::{explain_property, Property};
+use kpt_unity::{explain_property, Property, UnityError};
 
 use crate::proto::{codes, parse_request, verdict_json, Engine, Frame, Request, RequestKind};
 use crate::session::{Model, SessionConfig, Sessions};
@@ -149,15 +149,26 @@ impl Ctl {
     }
 }
 
-fn parse_error(src: &str, e: &kpt_unity::UnityError) -> ExecError {
+fn parse_error(src: &str, e: &UnityError) -> ExecError {
     // The caret rendering points at the offending span; clients get the
     // same diagnostics the CLI prints.
     ExecError::new(codes::PARSE, e.render(src))
 }
 
+/// A guard or assignment that fails to evaluate is an `eval` error in
+/// either engine, worded as the evaluator words it.
 fn bdd_error(e: BddError) -> ExecError {
     match e {
         BddError::NodeBudgetExceeded { .. } => ExecError::new(codes::BUDGET, e.to_string()),
+        BddError::Eval(e) => ExecError::new(codes::EVAL, e.to_string()),
+        other => ExecError::new(codes::INTERNAL, other.to_string()),
+    }
+}
+
+/// The explicit engine's side of [`bdd_error`].
+fn core_error(e: CoreError) -> ExecError {
+    match e {
+        CoreError::Unity(UnityError::Eval(e)) => ExecError::new(codes::EVAL, e.to_string()),
         other => ExecError::new(codes::INTERNAL, other.to_string()),
     }
 }
@@ -189,8 +200,7 @@ fn solve_with_cache(
         "server.solve.progress",
         |x| {
             ctl.check()?;
-            kbp.iterate(x)
-                .map_err(|e| ExecError::new(codes::INTERNAL, e.to_string()))
+            kbp.iterate(x).map_err(core_error)
         },
     )?;
     if let IterativeOutcome::Converged {
@@ -371,10 +381,7 @@ impl Exec<'_> {
                 ))
             }
         };
-        let compiled = model
-            .kbp()
-            .compile_at(&solution)
-            .map_err(|e| ExecError::new(codes::INTERNAL, e.to_string()))?;
+        let compiled = model.kbp().compile_at(&solution).map_err(core_error)?;
         let kctx = kpt_core::KnowledgeContext::for_program(&compiled);
         let kf = |process: &str, p: &Predicate| kctx.knows(process, p);
         let eval = |text: &str| -> Result<Predicate, ExecError> {

@@ -199,14 +199,21 @@ fn compound_label_sources_are_rejected_by_both_engines() {
     let mut server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("binds");
     let mut c = Client::connect(&server);
     let src = json_str(include_str!("../../../tests/corpus/compound_label.kpt"));
+    let mut messages = Vec::new();
     for (id, engine) in [(1, "explicit"), (2, "symbolic")] {
         c.send(&req(&format!(
             "{{'id':{id},'type':'solve','source':'{src}','engine':'{engine}'}}"
         )));
         let (f, _) = c.recv_terminal(id);
         assert_eq!(field_str(&f, "type"), "error", "{engine}: {f:?}");
+        assert_eq!(field_str(&f, "code"), "eval", "{engine}: {f:?}");
         assert!(field_str(&f, "message").contains("`m0`"), "{engine}: {f:?}");
+        messages.push(field_str(&f, "message").to_owned());
     }
+    assert_eq!(
+        messages[0], messages[1],
+        "the engines word the error differently"
+    );
     server.shutdown();
 }
 

@@ -39,12 +39,23 @@ pub struct FixpointStats {
 /// is capped and `None` is returned if no fixpoint is found.
 pub fn lfp<F: FnMut(&Predicate) -> Predicate>(
     space: &std::sync::Arc<kpt_state::StateSpace>,
+    f: F,
+) -> Option<(Predicate, FixpointStats)> {
+    kleene("lfp", Predicate::ff(space), f)
+}
+
+/// Kleene iteration of `f` from `start` under a `fixpoint.kleene` span
+/// tagged with `dir`, capped at `num_states + 2` applications; a converged
+/// run is folded into the `fixpoint.kleene.*` metrics.
+fn kleene<F: FnMut(&Predicate) -> Predicate>(
+    dir: &'static str,
+    start: Predicate,
     mut f: F,
 ) -> Option<(Predicate, FixpointStats)> {
     let mut span = kpt_obs::span("fixpoint.kleene");
-    span.field("dir", "lfp");
-    let mut x = Predicate::ff(space);
-    let cap = space.num_states() as usize + 2;
+    span.field("dir", dir);
+    let cap = start.space().num_states() as usize + 2;
+    let mut x = start;
     for i in 0..cap {
         let next = f(&x);
         if next == x {
@@ -52,7 +63,12 @@ pub fn lfp<F: FnMut(&Predicate) -> Predicate>(
                 iterations: i + 1,
                 result_states: next.count(),
             };
-            record_kleene(span, &stats);
+            kpt_obs::counter!("fixpoint.kleene.runs").incr();
+            kpt_obs::counter!("fixpoint.kleene.iterations").add(stats.iterations as u64);
+            kpt_obs::histogram!("fixpoint.kleene.result_states").record(stats.result_states);
+            span.field("iterations", stats.iterations as u64);
+            span.field("result_states", stats.result_states);
+            span.finish();
             return Some((x, stats));
         }
         x = next;
@@ -60,17 +76,6 @@ pub fn lfp<F: FnMut(&Predicate) -> Predicate>(
     span.field("converged", false);
     span.finish();
     None
-}
-
-/// Fold one Kleene run into the `fixpoint.kleene.*` metrics and close its
-/// span with the iteration count attached.
-fn record_kleene(mut span: kpt_obs::Span, stats: &FixpointStats) {
-    kpt_obs::counter!("fixpoint.kleene.runs").incr();
-    kpt_obs::counter!("fixpoint.kleene.iterations").add(stats.iterations as u64);
-    kpt_obs::histogram!("fixpoint.kleene.result_states").record(stats.result_states);
-    span.field("iterations", stats.iterations as u64);
-    span.field("result_states", stats.result_states);
-    span.finish();
 }
 
 /// Greatest fixpoint by Kleene iteration from `true`; same caveats as
@@ -78,27 +83,9 @@ fn record_kleene(mut span: kpt_obs::Span, stats: &FixpointStats) {
 /// knowledge `C_G`.
 pub fn gfp<F: FnMut(&Predicate) -> Predicate>(
     space: &std::sync::Arc<kpt_state::StateSpace>,
-    mut f: F,
+    f: F,
 ) -> Option<(Predicate, FixpointStats)> {
-    let mut span = kpt_obs::span("fixpoint.kleene");
-    span.field("dir", "gfp");
-    let mut x = Predicate::tt(space);
-    let cap = space.num_states() as usize + 2;
-    for i in 0..cap {
-        let next = f(&x);
-        if next == x {
-            let stats = FixpointStats {
-                iterations: i + 1,
-                result_states: next.count(),
-            };
-            record_kleene(span, &stats);
-            return Some((x, stats));
-        }
-        x = next;
-    }
-    span.field("converged", false);
-    span.finish();
-    None
+    kleene("gfp", Predicate::tt(space), f)
 }
 
 /// `sst.p`: the strongest stable predicate weaker than `p` (eq. 1),
