@@ -19,14 +19,13 @@
 //! `ite(guard, update, identity)` relation is never materialised.
 //!
 //! Everything the solver holds across fixpoint rounds — the initial set,
-//! static guards, `bad` sets, partition parts, and the SI cache's keys and
-//! values — is rooted against garbage collection and released on drop.
+//! static guards, `bad` sets and partition parts — is rooted against
+//! garbage collection and released on drop.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use kpt_logic::{Formula, Term};
-use kpt_obs::{CacheStats, Memo};
 use kpt_state::{VarId, VarSet};
 use kpt_transformers::{iterate_to_fixpoint, IterativeOutcome};
 use kpt_unity::{Guard, Program};
@@ -72,10 +71,6 @@ pub struct SymbolicKbp {
     init: NodeId,
     views: Vec<(String, VarSet)>,
     statements: Vec<SymStatement>,
-    /// `candidate → SI`, as `kpt_core::Kbp` memoizes it. Both sides are
-    /// rooted while the entry lives, so no GC sweep can free (or recycle
-    /// the id of) either one; whatever the memo drops is released.
-    si_cache: Memo<NodeId, NodeId>,
 }
 
 impl std::fmt::Debug for SymbolicKbp {
@@ -146,11 +141,6 @@ impl SymbolicKbp {
             init,
             views,
             statements,
-            si_cache: Memo::new(
-                kpt_obs::counter!("bdd.kbp.si_cache.hits"),
-                kpt_obs::counter!("bdd.kbp.si_cache.misses"),
-                kpt_obs::counter!("bdd.kbp.si_cache.evictions"),
-            ),
         })
     }
 
@@ -170,16 +160,14 @@ impl SymbolicKbp {
     }
 
     /// One step of the solution iteration: the strongest invariant of the
-    /// program with knowledge guards evaluated at `x`. Memoized per
-    /// candidate root.
+    /// program with knowledge guards evaluated at `x`.
     ///
     /// # Errors
     /// [`BddError::UpdateOutOfRange`] when a guard enabled at some state
     /// of the reassembled program assigns outside a domain, plus any guard
     /// evaluation failure.
     pub fn iterate(&self, x: &SymbolicPredicate) -> Result<SymbolicPredicate, BddError> {
-        let root = self.iterate_root(x.root())?;
-        Ok(SymbolicPredicate::new(&self.space, root))
+        self.iterate_bounded(x, usize::MAX)
     }
 
     /// [`SymbolicKbp::iterate`] under a live-node budget: the inner SI
@@ -187,8 +175,8 @@ impl SymbolicKbp {
     /// `max_live_nodes` nodes remain allocated after any round's safe
     /// point — the memory bound long-running services (kpt-server) map to
     /// a typed per-request error instead of letting one candidate eat the
-    /// manager. A budget-tripped call leaves the SI memo untouched, so a
-    /// later retry with a larger budget starts clean.
+    /// manager. A budget-tripped call holds on to nothing, so a later
+    /// retry with a larger budget starts clean.
     ///
     /// # Errors
     /// [`BddError::NodeBudgetExceeded`] plus everything
@@ -198,34 +186,10 @@ impl SymbolicKbp {
         x: &SymbolicPredicate,
         max_live_nodes: usize,
     ) -> Result<SymbolicPredicate, BddError> {
-        let root = self.iterate_root_bounded(x.root(), max_live_nodes)?;
-        Ok(SymbolicPredicate::new(&self.space, root))
-    }
-
-    /// Is `x` a solution of eq. (25)? O(1) comparison after one iteration.
-    ///
-    /// # Errors
-    /// As for [`SymbolicKbp::iterate`].
-    pub fn is_solution(&self, x: &SymbolicPredicate) -> Result<bool, BddError> {
-        Ok(self.iterate_root(x.root())? == x.root())
-    }
-
-    fn iterate_root(&self, x: NodeId) -> Result<NodeId, BddError> {
-        self.iterate_root_bounded(x, usize::MAX)
-    }
-
-    fn iterate_root_bounded(&self, x: NodeId, max_live_nodes: usize) -> Result<NodeId, BddError> {
-        if let Some(si) = self.si_cache.get(&x) {
-            return Ok(si);
-        }
         // One shared knowledge operator per candidate, like
         // `Kbp::compile_at`: every guard's `K{i}` subterms go through one
         // memo.
-        let knowledge = SymbolicKnowledge::with_si(
-            &self.space,
-            self.views.clone(),
-            &SymbolicPredicate::new(&self.space, x),
-        );
+        let knowledge = SymbolicKnowledge::with_si(&self.space, self.views.clone(), x);
         let mut mgr = self.space.lock();
         let mut guards = Vec::with_capacity(self.statements.len());
         for stmt in &self.statements {
@@ -262,18 +226,17 @@ impl SymbolicKbp {
             })
             .collect();
         let (si, _) = sst_raw_bounded(&self.space, &mut mgr, self.init, &rels, max_live_nodes)?;
-        // `si` arrives from `sst_raw_bounded` already carrying one root
-        // reference; the memo adopts it rather than adding a second. Every
-        // pair the memo drops gives its two references back: a full memo's
-        // old entries, or this very pair when a concurrent miss on `x`
-        // inserted first (its `si` is the same canonical node, still rooted
-        // by the winner's entry).
-        mgr.add_root(x);
-        for (k, v) in self.si_cache.insert(x, si) {
-            mgr.release_root(k);
-            mgr.release_root(v);
-        }
-        Ok(si)
+        // `si` arrives already carrying one root reference: the handle
+        // adopts it, so dropping the handle releases it.
+        Ok(SymbolicPredicate::adopt(&self.space, si))
+    }
+
+    /// Is `x` a solution of eq. (25)? O(1) comparison after one iteration.
+    ///
+    /// # Errors
+    /// As for [`SymbolicKbp::iterate`].
+    pub fn is_solution(&self, x: &SymbolicPredicate) -> Result<bool, BddError> {
+        Ok(&self.iterate(x)? == x)
     }
 
     /// Pinpoint the first in-order offending assignment at `witness` —
@@ -366,12 +329,6 @@ impl SymbolicKbp {
             set,
         ))
     }
-
-    /// SI-cache behaviour (`bdd.kbp.si_cache.*` counters aggregate the
-    /// same numbers process-wide).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.si_cache.stats()
-    }
 }
 
 impl Drop for SymbolicKbp {
@@ -389,10 +346,6 @@ impl Drop for SymbolicKbp {
             for r in roots {
                 self.space.release_root(r);
             }
-        }
-        for (k, v) in self.si_cache.clear() {
-            self.space.release_root(k);
-            self.space.release_root(v);
         }
     }
 }
@@ -574,7 +527,7 @@ mod tests {
         let program = knowledge_program();
         let symbolic = SymbolicKbp::from_program(&program).unwrap();
         let init = symbolic.init();
-        // A 1-node budget must trip, typed, without poisoning the memo…
+        // A 1-node budget must trip, typed, and leave nothing behind…
         let err = symbolic.iterate_bounded(&init, 1).unwrap_err();
         assert!(matches!(
             err,
@@ -598,19 +551,6 @@ mod tests {
         assert_eq!(s.map(|p| p.to_explicit()), e);
     }
 
-    #[test]
-    fn iterate_is_memoized() {
-        let program = knowledge_program();
-        let symbolic = SymbolicKbp::from_program(&program).unwrap();
-        let x = symbolic.init();
-        let a = symbolic.iterate(&x).unwrap();
-        let before = symbolic.cache_stats();
-        let b = symbolic.iterate(&x).unwrap();
-        let after = symbolic.cache_stats();
-        assert_eq!(a, b);
-        assert_eq!(after.hits, before.hits + 1);
-    }
-
     /// Live nodes a translated-then-dropped `program` leaves in its
     /// space after a sweep: the space's own roots, nothing of the solver.
     fn live_after_drop(kbp: SymbolicKbp) -> usize {
@@ -621,7 +561,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_misses_on_one_candidate_release_every_root() {
+    fn concurrent_iterations_of_one_candidate_release_every_root() {
         let program = knowledge_program();
         let baseline = live_after_drop(SymbolicKbp::from_program(&program).unwrap());
         let symbolic = SymbolicKbp::from_program(&program).unwrap();
@@ -638,39 +578,7 @@ mod tests {
                 });
             }
         });
-        let st = fresh.cache_stats();
-        assert_eq!((st.hits + st.misses, st.entries), (4, 1));
         assert_eq!(live_after_drop(fresh), baseline);
-    }
-
-    #[test]
-    fn si_cache_clears_on_full_and_releases_what_it_drops() {
-        let space = StateSpace::builder()
-            .nat_var("i", 13)
-            .unwrap()
-            .build()
-            .unwrap();
-        let program = Program::builder("cap", &space)
-            .init_str("i = 0")
-            .unwrap()
-            .statement(Statement::new("skip"))
-            .build()
-            .unwrap();
-        let baseline = live_after_drop(SymbolicKbp::from_program(&program).unwrap());
-        let explicit = Kbp::new(program.clone());
-        let symbolic = SymbolicKbp::from_program(&program).unwrap();
-        // 2^13 = 8192 distinct candidates > MEMO_CAP = 4096; drive exactly
-        // one past the cap.
-        for m in 0..=kpt_obs::MEMO_CAP as u64 {
-            let x = kpt_state::Predicate::from_fn(&space, |i| m >> i & 1 == 1);
-            let sx = SymbolicPredicate::from_explicit(symbolic.space(), &x);
-            let si = symbolic.iterate(&sx).unwrap();
-            assert_eq!(si.to_explicit(), explicit.iterate(&x).unwrap(), "mask {m}");
-        }
-        let st = symbolic.cache_stats();
-        assert_eq!(st.evictions, 1);
-        assert_eq!(st.entries, 1);
-        assert_eq!(live_after_drop(symbolic), baseline);
     }
 
     #[test]

@@ -71,6 +71,14 @@ impl SymbolicPredicate {
         }
     }
 
+    /// Take over a root reference the caller already holds.
+    pub(crate) fn adopt(space: &Arc<BddSpace>, root: NodeId) -> Self {
+        SymbolicPredicate {
+            space: Arc::clone(space),
+            root,
+        }
+    }
+
     pub(crate) fn root(&self) -> NodeId {
         self.root
     }

@@ -142,8 +142,8 @@ fn solver_cases(c: &mut Criterion) {
 
     // KBP exhaustive search: 2^8 candidate invariants, each needing a
     // knowledge-guard compilation plus an SI fixpoint. A fresh `Kbp` per
-    // iteration defeats the candidate ↦ SI memo, so the search itself
-    // (not the cache) is what's measured.
+    // iteration re-evaluates its knowledge-free guards, as a first solve
+    // does.
     let space = StateSpace::builder()
         .nat_var("i", 9)
         .unwrap()

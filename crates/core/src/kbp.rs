@@ -29,7 +29,7 @@
 use std::borrow::Cow;
 use std::sync::OnceLock;
 
-use kpt_obs::{CacheStats, Memo};
+use kpt_obs::CacheStats;
 use kpt_state::{Predicate, VarSet};
 use kpt_transformers::iterate_to_fixpoint;
 pub use kpt_transformers::IterativeOutcome;
@@ -42,14 +42,12 @@ use crate::error::CoreError;
 /// knowledge, together with the eq. (25) solution machinery.
 ///
 /// Evaluating a candidate `x` — compiling the standard program at `x` and
-/// taking its strongest invariant — is the solver's unit of work; results
-/// are memoized per candidate, so the cycle-detection replays of
-/// [`Kbp::solve_iterative`] and repeated [`Kbp::is_solution`] probes are
-/// answered from cache. The memo is a [`kpt_obs::Memo`]: clear-on-full at
-/// [`kpt_obs::MEMO_CAP`] entries, so exhaustive search over many free
-/// states cannot grow it without bound. A knowledge-free guard denotes the
-/// same predicate at every candidate, so it is evaluated once, by the first
-/// [`Kbp::compile_at`], and kept.
+/// taking its strongest invariant — is the solver's unit of work. It is
+/// not memoized: [`Kbp::solve_iterative`] evaluates each candidate once
+/// (its cycle detection compares candidates, it does not replay them), and
+/// [`Kbp::solve_exhaustive`] never repeats one. A knowledge-free guard
+/// denotes the same predicate at every candidate, so it is evaluated once,
+/// by the first [`Kbp::compile_at`], and kept.
 #[derive(Debug, Clone)]
 pub struct Kbp {
     program: Program,
@@ -57,7 +55,6 @@ pub struct Kbp {
     /// Per statement, its knowledge-free guard (`None` for a knowledge
     /// guard); filled by the first [`Kbp::compile_at`] that compiles.
     static_guards: OnceLock<Vec<Option<Predicate>>>,
-    si_cache: Memo<Predicate, Predicate>,
 }
 
 impl Kbp {
@@ -74,11 +71,6 @@ impl Kbp {
             program,
             views,
             static_guards: OnceLock::new(),
-            si_cache: Memo::new(
-                kpt_obs::counter!("kbp.si_cache.hits"),
-                kpt_obs::counter!("kbp.si_cache.misses"),
-                kpt_obs::counter!("kbp.si_cache.evictions"),
-            ),
         }
     }
 
@@ -88,8 +80,8 @@ impl Kbp {
     }
 
     /// The same KBP with a different initial condition (for studying the
-    /// Figure-2 non-monotonicity). The SI cache is *not* carried over: the
-    /// fixpoint equation depends on `init`.
+    /// Figure-2 non-monotonicity). The kept knowledge-free guards are
+    /// evaluated afresh, as for any new KBP.
     #[must_use]
     pub fn with_init(&self, init: Predicate) -> Kbp {
         Kbp::new(self.program.with_init(init))
@@ -158,29 +150,26 @@ impl Kbp {
     }
 
     /// One step of the solution iteration: the strongest invariant of the
-    /// standard program obtained at `x`. Memoized per candidate.
+    /// standard program obtained at `x`.
     ///
     /// # Errors
     /// Compilation errors.
     pub fn iterate(&self, x: &Predicate) -> Result<Predicate, CoreError> {
-        if let Some(si) = self.si_cache.get(x) {
-            return Ok(si);
-        }
-        let si = self.compile_at(x)?.si().clone();
-        self.si_cache.insert(x.clone(), si.clone());
-        Ok(si)
+        Ok(self.compile_at(x)?.si().clone())
     }
 
-    /// Full cache behaviour of the `candidate ↦ SI` memo, in the same
-    /// shape as [`KnowledgeContext::cache_stats`].
+    /// Always the zero [`CacheStats`]: a `Kbp` memoizes no candidate's SI,
+    /// because no solver evaluates a candidate twice (see the type doc).
+    /// Kept so callers that report a memo hit ratio still compile; the
+    /// `K p` memo of each candidate reports through
+    /// [`KnowledgeContext::cache_stats`].
     pub fn cache_stats(&self) -> CacheStats {
-        self.si_cache.stats()
+        CacheStats::default()
     }
 
     /// Complete enumeration of all solutions, over candidates
     /// `x = init ∪ S` for every subset `S` of the non-init states, in mask
-    /// order. Each candidate is checked by [`Kbp::is_solution`], so the
-    /// search rides (and fills) the shared `candidate ↦ SI` memo.
+    /// order. Each candidate is checked once, by [`Kbp::is_solution`].
     ///
     /// # Errors
     /// [`CoreError::SearchTooLarge`] if there are more than
@@ -353,7 +342,6 @@ impl SolutionSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kpt_obs::MEMO_CAP;
     use kpt_state::StateSpace;
     use kpt_unity::{Program, Statement};
 
@@ -468,41 +456,6 @@ mod tests {
         assert!(sols.solutions()[0].everywhere());
         // And the iterative solver finds it from below.
         assert!(kbp.solve_iterative(10).unwrap().solution().is_some());
-    }
-
-    #[test]
-    fn iterate_memoizes_per_candidate() {
-        let space = StateSpace::builder()
-            .nat_var("i", 3)
-            .unwrap()
-            .build()
-            .unwrap();
-        let program = Program::builder("std", &space)
-            .init_str("i = 0")
-            .unwrap()
-            .statement(
-                Statement::new("inc")
-                    .guard_str("i < 2")
-                    .unwrap()
-                    .assign_str("i", "i + 1")
-                    .unwrap(),
-            )
-            .build()
-            .unwrap();
-        let kbp = Kbp::new(program);
-        let x = kbp.program().init().clone();
-        let first = kbp.iterate(&x).unwrap();
-        assert_eq!(kbp.cache_stats().entries, 1);
-        // Second evaluation of the same candidate is served from cache and
-        // adds no entry.
-        assert_eq!(kbp.iterate(&x).unwrap(), first);
-        assert_eq!(kbp.cache_stats().entries, 1);
-        // is_solution rides the same cache.
-        assert!(kbp.is_solution(&first).unwrap());
-        assert_eq!(kbp.cache_stats().entries, 2);
-        // with_init starts fresh (the equation changed).
-        let other = kbp.with_init(first);
-        assert_eq!(other.cache_stats().entries, 0);
     }
 
     /// The error a full compile at `x` reports: every guard evaluated
@@ -651,43 +604,6 @@ mod tests {
             }
             other => panic!("expected SearchTooLarge, got {other:?}"),
         }
-    }
-
-    /// Regression: the memo used to stop *admitting* entries once it hit
-    /// its cap, silently disabling memoization for the rest of a
-    /// long run. Clear-on-full keeps admitting, and the counters expose
-    /// the churn.
-    #[test]
-    fn si_cache_clears_on_full_instead_of_freezing() {
-        let space = StateSpace::builder()
-            .nat_var("i", 13)
-            .unwrap()
-            .build()
-            .unwrap();
-        let program = Program::builder("cap", &space)
-            .init_str("i = 0")
-            .unwrap()
-            .statement(Statement::new("skip"))
-            .build()
-            .unwrap();
-        let kbp = Kbp::new(program);
-        // 2^13 = 8192 distinct masks available > MEMO_CAP = 4096;
-        // drive exactly one candidate past the cap.
-        let candidate_at = |m: u64| Predicate::from_fn(&space, |i| m >> i & 1 == 1);
-        for m in 0..=MEMO_CAP as u64 {
-            kbp.iterate(&candidate_at(m)).unwrap();
-        }
-        // The overflowing insert cleared the cache and kept admitting.
-        let st = kbp.cache_stats();
-        assert_eq!(st.evictions, 1);
-        assert!(st.entries >= 1);
-        assert!(st.entries < MEMO_CAP);
-        // Fresh entries still memoize: re-querying the most recent
-        // candidate is a hit, not a recomputation.
-        kbp.iterate(&candidate_at(MEMO_CAP as u64)).unwrap();
-        let after = kbp.cache_stats();
-        assert_eq!(after.hits, st.hits + 1);
-        assert_eq!(after.misses, st.misses);
     }
 
     #[test]

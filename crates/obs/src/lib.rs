@@ -23,8 +23,8 @@
 //!   and a call into the thread's scoped progress sink, if any, whether
 //!   or not tracing is on.
 //! * **Memos** ([`Memo`], [`CacheStats`]) — the one clear-on-full,
-//!   insert-if-absent memo behind every `K p` and `candidate ↦ SI` cache
-//!   of both eq.-(25) engines, with its hit/miss/eviction accounting.
+//!   insert-if-absent memo behind the `K p` cache of both eq.-(25)
+//!   engines, with its hit/miss/eviction accounting.
 //! * **Profiles** ([`profile_to_file`], `KPT_PROFILE=<path>`,
 //!   [`aggregate_spans`], [`folded_stacks`]) — exact self-time
 //!   attribution over the span tree, exported in the flamegraph.pl

@@ -53,20 +53,16 @@ struct Inner<K, V> {
 
 /// A clear-on-full, insert-if-absent memo.
 ///
-/// Both eq.-(25) engines memoize the same two things — `(view, p) ↦ K p`
-/// per candidate invariant (eq. 13) and `candidate ↦ SI(program[K @ x])`
-/// (eq. 25) — and all four of those memos are this type. The policy lives
-/// here once:
+/// Both eq.-(25) engines memoize `(view, p) ↦ K p` per candidate
+/// invariant (eq. 13), and both of those memos are this type. The policy
+/// lives here once:
 ///
 /// * **Capacity.** [`MEMO_CAP`] entries. An insert into a full memo first
 ///   drops the whole map and counts one eviction. Predicates dominate the
 ///   footprint, and a full clear keeps the bookkeeping at one branch per
 ///   insert while long iterative runs keep their recent working set.
 /// * **Insert-if-absent.** [`Memo::insert`] never overwrites: when two
-///   threads miss on one key and both compute, the second insert is
-///   rejected and handed back. Every entry the memo lets go of is returned
-///   to the caller, so owners of rooted BDD nodes can release exactly what
-///   left the map.
+///   threads miss on one key and both compute, the first value stays.
 /// * **Counters.** Each memo bumps its own [`CacheStats`] plus three
 ///   process-wide counters (`<prefix>.hits`, `.misses`, `.evictions`) that
 ///   its owner resolves once, at construction.
@@ -98,8 +94,7 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
     }
 
     /// Every operation leaves the map and its stats consistent, so a
-    /// poisoned lock is recovered rather than propagated: owners release
-    /// what the memo holds from `Drop`, which must not panic.
+    /// poisoned lock is recovered rather than propagated.
     fn lock(&self) -> MutexGuard<'_, Inner<K, V>> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -118,39 +113,28 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
         found
     }
 
-    /// Insert `value` under `key` unless the key is already present, and
-    /// return every entry the memo dropped: the rejected pair itself when
-    /// the key was present (the first value stays), or the whole previous
-    /// map when the memo was full (counted as one eviction).
-    pub fn insert(&self, key: K, value: V) -> Vec<(K, V)>
-    where
-        K: Clone,
-    {
+    /// Insert `value` under `key` unless the key is already present (the
+    /// first value stays). A full memo is cleared first, counted as one
+    /// eviction.
+    pub fn insert(&self, key: K, value: V) {
         let mut guard = self.lock();
         let Inner { map, stats } = &mut *guard;
         // Keys can be whole predicates, so the common path hashes once.
-        let dropped = if map.len() >= MEMO_CAP && !map.contains_key(&key) {
+        if map.len() >= MEMO_CAP && !map.contains_key(&key) {
             stats.evictions += 1;
             self.evictions.incr();
-            map.drain().collect()
-        } else {
-            Vec::new()
-        };
-        match map.entry(key) {
-            Entry::Occupied(kept) => vec![(kept.key().clone(), value)],
-            Entry::Vacant(slot) => {
-                slot.insert(value);
-                stats.inserts += 1;
-                dropped
-            }
+            map.clear();
+        }
+        if let Entry::Vacant(slot) = map.entry(key) {
+            slot.insert(value);
+            stats.inserts += 1;
         }
     }
 
     /// Drop every entry without counting an eviction (for invalidation,
-    /// not capacity: the entries went stale, or the owner is going away),
-    /// and return them.
-    pub fn clear(&self) -> Vec<(K, V)> {
-        self.lock().map.drain().collect()
+    /// not capacity: the entries went stale).
+    pub fn clear(&self) {
+        self.lock().map.clear();
     }
 
     /// Hits, misses, evictions and lifetime inserts so far, plus the
@@ -185,21 +169,6 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
                 ("hit_ratio", Field::F64(stats.hit_ratio())),
             ],
         );
-    }
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> Clone for Memo<K, V> {
-    fn clone(&self) -> Self {
-        let inner = self.lock();
-        Memo {
-            inner: Mutex::new(Inner {
-                map: inner.map.clone(),
-                stats: inner.stats,
-            }),
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-        }
     }
 }
 
@@ -242,10 +211,10 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_insert_returns_the_rejected_pair_and_keeps_the_first() {
+    fn duplicate_insert_keeps_the_first() {
         let m = memo();
-        assert!(m.insert(1, 10).is_empty());
-        assert_eq!(m.insert(1, 11), vec![(1, 11)]);
+        m.insert(1, 10);
+        m.insert(1, 11);
         assert_eq!(m.get(&1), Some(10));
         let st = m.stats();
         assert_eq!((st.inserts, st.entries, st.evictions), (1, 1, 0));
@@ -269,15 +238,13 @@ mod tests {
 
         // Fill to the cap...
         for k in 1..MEMO_CAP as u32 {
-            assert!(m.insert(k, k).is_empty());
+            m.insert(k, k);
         }
         assert_eq!(m.stats().entries, MEMO_CAP);
-        // ...and one more distinct key clears the memo (one eviction),
-        // handing back every entry it held.
+        // ...and one more distinct key clears the memo (one eviction).
         let cap = MEMO_CAP as u32;
         assert_eq!(m.get(&cap), None);
-        let dropped = m.insert(cap, cap);
-        assert_eq!(dropped.len(), MEMO_CAP);
+        m.insert(cap, cap);
         assert_eq!(counts(m.stats()), (1, 2, 1, 1));
 
         // The evicted entry is a miss again.
@@ -293,21 +260,11 @@ mod tests {
     fn clear_drops_entries_without_counting_an_eviction() {
         let m = memo();
         m.insert(1, 1);
-        assert_eq!(m.clear(), vec![(1, 1)]);
+        m.clear();
         assert_eq!(m.get(&1), None);
         let st = m.stats();
         assert_eq!(counts(st), (0, 1, 0, 0));
         assert_eq!(st.inserts, 1);
-    }
-
-    #[test]
-    fn clone_copies_entries_and_stats() {
-        let m = memo();
-        m.insert(1, 1);
-        let _ = m.get(&1);
-        let c = m.clone();
-        assert_eq!(c.stats(), m.stats());
-        assert_eq!(c.get(&1), Some(1));
     }
 
     #[test]

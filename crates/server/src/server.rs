@@ -27,6 +27,7 @@
 //! closed. Nothing already accepted is dropped.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -44,7 +45,7 @@ use kpt_transformers::iterate_to_fixpoint;
 use kpt_unity::{explain_property, Property, UnityError};
 
 use crate::proto::{codes, parse_request, verdict_json, Engine, Frame, Request, RequestKind};
-use crate::session::{Model, SessionConfig, Sessions};
+use crate::session::{Model, SessionConfig, Sessions, Solved};
 
 /// Server-wide tunables.
 #[derive(Debug, Clone, Copy)]
@@ -173,44 +174,51 @@ fn core_error(e: CoreError) -> ExecError {
     }
 }
 
-/// Solve through the session cache: a previously converged solution found
-/// within the iteration cap is reused (`cached` is `true`); anything else
-/// runs the explicit iteration — the same `iterate` calls in the same
-/// order as [`kpt_core::Kbp::solve_iterative`], with a cancellation and
-/// deadline check before each — and a fresh convergence is stored. Like
-/// the symbolic engine's iteration in `Exec::solve`, it runs under a
-/// `server.solve` span with one `server.solve.progress` event per step.
-fn solve_with_cache(
-    model: &Model,
+/// Solve through one engine's outcome cache on the model: an outcome a
+/// previous solve stored answers every cap it decides (`cached` is
+/// `true`). Anything else runs the eq. (25) iteration — the same `step`
+/// calls in the same order as the library's `solve_iterative`, with a
+/// cancellation and deadline check before each — under a `server.solve`
+/// span with one `server.solve.progress` event per step, and stores the
+/// outcome.
+fn solve_with_cache<P: PredicateOps + Eq + Hash + Clone>(
+    solved: &Solved<P>,
+    init: P,
     max_iterations: usize,
     ctl: &Ctl,
-) -> Result<(IterativeOutcome, bool), ExecError> {
-    if let Some((solution, iterations)) = model.cached_solution(max_iterations) {
-        let outcome = IterativeOutcome::Converged {
-            solution,
-            iterations,
-        };
+    mut step: impl FnMut(&P) -> Result<P, ExecError>,
+) -> Result<(IterativeOutcome<P>, bool), ExecError> {
+    if let Some(outcome) = solved.get(max_iterations) {
         return Ok((outcome, true));
     }
-    let kbp = model.kbp();
     let outcome = iterate_to_fixpoint(
-        kbp.program().init().clone(),
+        init,
         max_iterations,
         "server.solve",
         "server.solve.progress",
         |x| {
             ctl.check()?;
-            kbp.iterate(x).map_err(core_error)
+            step(x)
         },
     )?;
-    if let IterativeOutcome::Converged {
-        solution,
-        iterations,
-    } = &outcome
-    {
-        model.store_solution(solution, *iterations);
-    }
+    solved.store(&outcome);
     Ok((outcome, false))
+}
+
+/// [`solve_with_cache`] on the explicit engine.
+fn solve_explicit(
+    model: &Model,
+    max_iterations: usize,
+    ctl: &Ctl,
+) -> Result<(IterativeOutcome, bool), ExecError> {
+    let kbp = model.kbp();
+    solve_with_cache(
+        &model.solved,
+        kbp.program().init().clone(),
+        max_iterations,
+        ctl,
+        |x| kbp.iterate(x).map_err(core_error),
+    )
 }
 
 /// Write an eq. (25) outcome of either engine into a `solve` frame.
@@ -223,7 +231,6 @@ fn outcome_fields<P: PredicateOps>(f: &mut Frame, outcome: &IterativeOutcome<P>,
             f.str_field("outcome", "converged");
             f.u64_field("iterations", *iterations as u64);
             f.u64_field("solution_states", solution.count());
-            f.bool_field("cached", cached);
         }
         IterativeOutcome::Cycle {
             period,
@@ -238,6 +245,7 @@ fn outcome_fields<P: PredicateOps>(f: &mut Frame, outcome: &IterativeOutcome<P>,
             f.u64_field("iterations", *iterations as u64);
         }
     }
+    f.bool_field("cached", cached);
 }
 
 struct Exec<'a> {
@@ -328,24 +336,21 @@ impl Exec<'_> {
         match self.req.engine {
             Engine::Explicit => {
                 self.check_explicit_size(&model)?;
-                let (outcome, cached) = solve_with_cache(&model, max_iterations, &self.ctl)?;
+                let (outcome, cached) = solve_explicit(&model, max_iterations, &self.ctl)?;
                 outcome_fields(&mut f, &outcome, cached);
                 f.str_field("engine", "explicit");
             }
             Engine::Symbolic => {
                 let skbp = model.symbolic().map_err(bdd_error)?;
                 let budget = self.req.node_budget.unwrap_or(usize::MAX);
-                let outcome = iterate_to_fixpoint(
+                let (outcome, cached) = solve_with_cache(
+                    &model.solved_symbolic,
                     skbp.init(),
                     max_iterations,
-                    "server.solve",
-                    "server.solve.progress",
-                    |x| {
-                        self.ctl.check()?;
-                        skbp.iterate_bounded(x, budget).map_err(bdd_error)
-                    },
+                    &self.ctl,
+                    |x| skbp.iterate_bounded(x, budget).map_err(bdd_error),
                 )?;
-                outcome_fields(&mut f, &outcome, false);
+                outcome_fields(&mut f, &outcome, cached);
                 f.str_field("engine", "symbolic");
             }
         }
@@ -366,7 +371,7 @@ impl Exec<'_> {
         }
         let model = self.load_model()?;
         self.check_explicit_size(&model)?;
-        let solution = match solve_with_cache(&model, self.max_iterations(), &self.ctl)?.0 {
+        let solution = match solve_explicit(&model, self.max_iterations(), &self.ctl)?.0 {
             IterativeOutcome::Converged { solution, .. } => solution,
             IterativeOutcome::Cycle { period, .. } => {
                 return Err(ExecError::new(
@@ -419,7 +424,7 @@ impl Exec<'_> {
         self.check_explicit_size(&model)?;
         let name = model.kbp().program().name().to_owned();
         let obligation = format!("kbp {name} solvable");
-        let verdict = match solve_with_cache(&model, self.max_iterations(), &self.ctl)?.0 {
+        let verdict = match solve_explicit(&model, self.max_iterations(), &self.ctl)?.0 {
             IterativeOutcome::Converged {
                 solution,
                 iterations,

@@ -5,7 +5,8 @@
 //! any model worth serving. The [`Sessions`] arena keys that work by
 //! source text: the first request for a source pays elaboration, every
 //! later request — on any connection — reuses the same [`Model`] behind
-//! an `Arc`, with its lint reports and converged solution cached on it.
+//! an `Arc`, with its lint reports and each engine's last eq. (25)
+//! outcome cached on it.
 //!
 //! ## Ownership and eviction
 //!
@@ -28,8 +29,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use kpt_bdd::{BddError, SymbolicKbp};
-use kpt_core::Kbp;
+use kpt_bdd::{BddError, SymbolicKbp, SymbolicPredicate};
+use kpt_core::{IterativeOutcome, Kbp};
 use kpt_lint::LintOptions;
 use kpt_state::{Predicate, StateSpace};
 use kpt_unity::{SourceMap, UnityError};
@@ -60,19 +61,37 @@ pub(crate) struct LintAnswer {
     pub(crate) report: String,
 }
 
-/// One elaborated model: the state space, the explicit KBP solver with
-/// its SI memo, the source map, and the lazily built symbolic translation
-/// and lint reports.
+/// One engine's last eq. (25) outcome on a model. It answers a later
+/// solve whose iteration cap it decides ([`IterativeOutcome::at_cap`]);
+/// a solve runs only when it does not, so each stored outcome decides
+/// more caps than the one it replaces.
+pub(crate) struct Solved<P>(Mutex<Option<IterativeOutcome<P>>>);
+
+impl<P: Clone> Solved<P> {
+    /// The outcome a solve capped at `max_iterations` would return, if the
+    /// stored outcome decides it.
+    pub(crate) fn get(&self, max_iterations: usize) -> Option<IterativeOutcome<P>> {
+        let slot = self.0.lock().expect("solved lock poisoned");
+        slot.as_ref()?.at_cap(max_iterations)
+    }
+
+    /// Record a freshly computed outcome.
+    pub(crate) fn store(&self, outcome: &IterativeOutcome<P>) {
+        *self.0.lock().expect("solved lock poisoned") = Some(outcome.clone());
+    }
+}
+
+/// One elaborated model: the state space, the explicit KBP solver, the
+/// source map, the lazily built symbolic translation and lint reports,
+/// and each engine's last eq. (25) outcome.
 pub struct Model {
     source: String,
     space: Arc<StateSpace>,
     kbp: Arc<Kbp>,
     map: SourceMap,
     symbolic: Mutex<Option<Arc<SymbolicKbp>>>,
-    /// Cache of the *converged* eq. (25) iterative outcome: `(solution,
-    /// iterations)`. Cycle/inconclusive outcomes depend on the requested
-    /// iteration cap and are recomputed per request.
-    solved: Mutex<Option<(Predicate, usize)>>,
+    pub(crate) solved: Solved<Predicate>,
+    pub(crate) solved_symbolic: Solved<SymbolicPredicate>,
     /// Lint answers, indexed by the request's `symbolic` flag.
     linted: Mutex<[Option<Arc<LintAnswer>>; 2]>,
 }
@@ -86,7 +105,8 @@ impl Model {
             kbp: Arc::new(Kbp::new(program)),
             map,
             symbolic: Mutex::new(None),
-            solved: Mutex::new(None),
+            solved: Solved(Mutex::new(None)),
+            solved_symbolic: Solved(Mutex::new(None)),
             linted: Mutex::new([None, None]),
         })
     }
@@ -96,7 +116,7 @@ impl Model {
         &self.space
     }
 
-    /// The explicit eq. (25) solver (shared, internally memoized).
+    /// The explicit eq. (25) solver (shared).
     pub fn kbp(&self) -> &Arc<Kbp> {
         &self.kbp
     }
@@ -116,18 +136,21 @@ impl Model {
     /// The cached converged solution, when a prior request found one
     /// within `max_iterations` iterations.
     pub fn cached_solution(&self, max_iterations: usize) -> Option<(Predicate, usize)> {
-        let slot = self.solved.lock().expect("solved lock poisoned");
-        slot.as_ref()
-            .filter(|(_, iters)| *iters <= max_iterations)
-            .cloned()
+        match self.solved.get(max_iterations)? {
+            IterativeOutcome::Converged {
+                solution,
+                iterations,
+            } => Some((solution, iterations)),
+            _ => None,
+        }
     }
 
     /// Record a converged solution for reuse.
     pub fn store_solution(&self, solution: &Predicate, iterations: usize) {
-        let mut slot = self.solved.lock().expect("solved lock poisoned");
-        if slot.is_none() {
-            *slot = Some((solution.clone(), iterations));
-        }
+        self.solved.store(&IterativeOutcome::Converged {
+            solution: solution.clone(),
+            iterations,
+        });
     }
 
     /// The lint answer for this model's program — every pass, the
@@ -154,15 +177,14 @@ impl Model {
         Arc::clone(linted[slot].get_or_insert(answer))
     }
 
-    /// Approximate resident bytes: the SI memo's predicates (one bitset of
-    /// `num_states` bits per cached candidate, twice — key and value —
-    /// plus SI and init), the knowledge-free guards the `Kbp` keeps after
-    /// its first solve (one bitset each), the source text and its source
-    /// map, the cached lint reports, and a flat allowance for the symbolic
-    /// manager when it has been built.
+    /// Approximate resident bytes: four bitsets of `num_states` bits
+    /// (init, the cached solution, and room for a solve's working set),
+    /// the knowledge-free guards the `Kbp` keeps after its first solve
+    /// (one bitset each), the source text and its source map, the cached
+    /// lint reports, and a flat allowance for the symbolic manager when it
+    /// has been built.
     pub fn approx_bytes(&self) -> u64 {
         let bitset = self.space.num_states() / 8 + 64;
-        let cached = self.kbp.cache_stats().entries as u64;
         let static_guards = self.kbp.cached_static_guards() as u64;
         let symbolic = if self.symbolic.lock().map(|s| s.is_some()).unwrap_or(false) {
             1 << 20
@@ -174,7 +196,7 @@ impl Model {
             .lock()
             .map(|l| l.iter().flatten().map(|a| a.report.len() as u64).sum())
             .unwrap_or(0);
-        bitset * (2 * cached + static_guards + 4)
+        bitset * (static_guards + 4)
             + self.source.len() as u64
             + source_map_bytes(&self.map)
             + linted
@@ -433,12 +455,10 @@ mod tests {
         let before = m.approx_bytes();
         assert_eq!(m.kbp().cached_static_guards(), 0);
         assert!(m.kbp().solve_iterative(8).unwrap().solution().is_some());
-        // `set`'s guard `~x` is knowledge-free: one kept bitset, on top
-        // of the memoized candidates' two each.
+        // `set`'s guard `~x` is knowledge-free: one kept bitset.
         assert_eq!(m.kbp().cached_static_guards(), 1);
         let bitset = m.space().num_states() / 8 + 64;
-        let memo = 2 * m.kbp().cache_stats().entries as u64;
-        assert!(m.approx_bytes() >= before + bitset * (memo + 1));
+        assert!(m.approx_bytes() >= before + bitset);
     }
 
     #[test]

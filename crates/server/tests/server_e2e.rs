@@ -356,6 +356,62 @@ fn progress_streams_and_solve_matches_direct_library_calls() {
     server.shutdown();
 }
 
+/// A frame's fields other than `id` and `cached`.
+fn outcome_of(f: &JsonValue) -> std::collections::BTreeMap<String, JsonValue> {
+    let JsonValue::Object(fields) = f else {
+        panic!("frame is not an object: {f:?}")
+    };
+    let mut fields = fields.clone();
+    fields.remove("id");
+    fields.remove("cached");
+    fields
+}
+
+#[test]
+fn repeat_solves_are_answered_from_the_model() {
+    let mut server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("binds");
+    let mut c = Client::connect(&server);
+    let toy = json_str(TOY);
+    let figure1 = json_str(include_str!("../../../tests/corpus/figure1.kpt"));
+    let mut id = 0;
+    let mut solve = |c: &mut Client, extra: &str, source: &str| {
+        id += 1;
+        // The source goes in after the quote swap: Figure 1's comment
+        // has an apostrophe.
+        let head = req(&format!("{{'id':{id},'type':'solve',{extra}'source':'"));
+        c.send(&format!("{head}{source}\"}}"));
+        c.recv_terminal(id)
+    };
+    for (extra, source, outcome) in [
+        ("", &toy, "converged"),
+        ("'engine':'symbolic',", &toy, "converged"),
+        ("", &figure1, "cycle"),
+    ] {
+        let (first, progress) = solve(&mut c, extra, source);
+        assert_eq!(field_str(&first, "outcome"), outcome, "got {first:?}");
+        assert_eq!(
+            first.get("cached").and_then(JsonValue::as_bool),
+            Some(false)
+        );
+        assert!(!progress.is_empty(), "a computed solve streams progress");
+        let (second, progress) = solve(&mut c, extra, source);
+        assert_eq!(
+            second.get("cached").and_then(JsonValue::as_bool),
+            Some(true)
+        );
+        assert_eq!(outcome_of(&second), outcome_of(&first));
+        assert!(progress.is_empty(), "a cached solve streams no progress");
+    }
+    // Figure 1 cycles from its first steps; a cap below the step that
+    // found the cycle runs out, and the stored cycle says so too.
+    let (f, progress) = solve(&mut c, "'max_iterations':1,", &figure1);
+    assert_eq!(field_str(&f, "outcome"), "inconclusive", "got {f:?}");
+    assert_eq!(field_u64(&f, "iterations"), 1);
+    assert_eq!(f.get("cached").and_then(JsonValue::as_bool), Some(true));
+    assert!(progress.is_empty());
+    server.shutdown();
+}
+
 /// One saturated worker: a long-running solve occupies the single worker,
 /// the single queue slot holds the cancel target, a third request is
 /// refused `busy`, and cancelling the queued request yields a typed

@@ -272,6 +272,33 @@ impl<P> IterativeOutcome<P> {
     }
 }
 
+impl<P: Clone> IterativeOutcome<P> {
+    /// What [`iterate_to_fixpoint`] would return under `max_iterations`,
+    /// when this outcome of the same iteration already says: a converged
+    /// or cycling outcome, decided at step `d`, is the answer to every cap
+    /// `≥ d` and runs out inconclusive below it; an inconclusive outcome
+    /// answers the caps up to its own. `None` for a cap it cannot answer.
+    pub fn at_cap(&self, max_iterations: usize) -> Option<Self> {
+        let (steps, decided) = match self {
+            IterativeOutcome::Converged { iterations, .. } => (*iterations, true),
+            IterativeOutcome::Cycle {
+                period,
+                entered_after,
+            } => (period + entered_after, true),
+            IterativeOutcome::Inconclusive { iterations } => (*iterations, false),
+        };
+        if decided && steps <= max_iterations {
+            Some(self.clone())
+        } else if max_iterations <= steps {
+            Some(IterativeOutcome::Inconclusive {
+                iterations: max_iterations,
+            })
+        } else {
+            None
+        }
+    }
+}
+
 /// The eq. (25) iteration: iterate `x_{k+1} = step(x_k)` from `x_0 = init`
 /// for at most `max_iterations` steps, stopping at the first fixpoint
 /// (`Converged`) or the first candidate seen before (`Cycle`).
@@ -595,6 +622,23 @@ mod tests {
             Ok(IterativeOutcome::Inconclusive { iterations: 0 })
         );
         assert_eq!(calls, 0);
+    }
+
+    #[test]
+    fn an_outcome_answers_exactly_the_caps_it_decides() {
+        // A rho (cycle decided at step 7), an immediate fixpoint, and a
+        // chain that runs out at cap 10.
+        let chain: Vec<u32> = (1..=32).collect();
+        for (next, at) in [(&[1, 2, 3, 4, 5, 6, 3][..], 64), (&[0], 64), (&chain, 10)] {
+            let known = run(next, at, None).0.unwrap();
+            for cap in 0..=24 {
+                let fresh = run(next, cap, None).0.unwrap();
+                match known.at_cap(cap) {
+                    Some(answer) => assert_eq!(answer, fresh, "cap {cap} from {known:?}"),
+                    None => assert!(cap > at, "cap {cap} unanswered from {known:?}"),
+                }
+            }
+        }
     }
 
     #[test]
