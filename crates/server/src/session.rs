@@ -62,9 +62,10 @@ pub(crate) struct LintAnswer {
 }
 
 /// One engine's last eq. (25) outcome on a model. It answers a later
-/// solve whose iteration cap it decides ([`IterativeOutcome::at_cap`]);
-/// a solve runs only when it does not, so each stored outcome decides
-/// more caps than the one it replaces.
+/// solve whose iteration cap it decides ([`IterativeOutcome::at_cap`]).
+/// A solve runs only when it does not, so the outcome it stores decides
+/// more; concurrent solves may store out of order, which costs a
+/// recomputation, never a wrong answer.
 pub(crate) struct Solved<P>(Mutex<Option<IterativeOutcome<P>>>);
 
 impl<P: Clone> Solved<P> {
