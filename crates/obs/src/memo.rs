@@ -172,6 +172,21 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
     }
 }
 
+impl<K: Eq + Hash + Clone, V: Clone> Clone for Memo<K, V> {
+    fn clone(&self) -> Self {
+        let inner = self.lock();
+        Memo {
+            inner: Mutex::new(Inner {
+                map: inner.map.clone(),
+                stats: inner.stats,
+            }),
+            hits: self.hits,
+            misses: self.misses,
+            evictions: self.evictions,
+        }
+    }
+}
+
 impl<K: Eq + Hash, V: Clone> fmt::Debug for Memo<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Memo")
@@ -265,6 +280,16 @@ mod tests {
         let st = m.stats();
         assert_eq!(counts(st), (0, 1, 0, 0));
         assert_eq!(st.inserts, 1);
+    }
+
+    #[test]
+    fn clone_copies_entries_and_stats() {
+        let m = memo();
+        m.insert(1, 1);
+        let _ = m.get(&1);
+        let c = m.clone();
+        assert_eq!(c.stats(), m.stats());
+        assert_eq!(c.get(&1), Some(1));
     }
 
     #[test]

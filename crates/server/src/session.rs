@@ -61,11 +61,11 @@ pub(crate) struct LintAnswer {
     pub(crate) report: String,
 }
 
-/// One engine's last eq. (25) outcome on a model. It answers a later
-/// solve whose iteration cap it decides ([`IterativeOutcome::at_cap`]).
-/// A solve runs only when it does not, so the outcome it stores decides
-/// more; concurrent solves may store out of order, which costs a
-/// recomputation, never a wrong answer.
+/// One engine's eq. (25) outcome on a model. It answers a later solve
+/// whose iteration cap it decides ([`IterativeOutcome::at_cap`]). A new
+/// outcome replaces it only when it decides more caps, so concurrent
+/// solves that finish out of order never trade a decided outcome for a
+/// capped one.
 pub(crate) struct Solved<P>(Mutex<Option<IterativeOutcome<P>>>);
 
 impl<P: Clone> Solved<P> {
@@ -76,9 +76,18 @@ impl<P: Clone> Solved<P> {
         slot.as_ref()?.at_cap(max_iterations)
     }
 
-    /// Record a freshly computed outcome.
+    /// Record a freshly computed outcome, unless the stored one already
+    /// answers every cap it does: a converged or cycling outcome answers
+    /// all caps, an inconclusive one those up to its own.
     pub(crate) fn store(&self, outcome: &IterativeOutcome<P>) {
-        *self.0.lock().expect("solved lock poisoned") = Some(outcome.clone());
+        let mut slot = self.0.lock().expect("solved lock poisoned");
+        let kept = slot.as_ref().is_some_and(|old| match outcome {
+            IterativeOutcome::Inconclusive { iterations } => old.at_cap(*iterations).is_some(),
+            _ => !matches!(old, IterativeOutcome::Inconclusive { .. }),
+        });
+        if !kept {
+            *slot = Some(outcome.clone());
+        }
     }
 }
 
@@ -146,7 +155,8 @@ impl Model {
         }
     }
 
-    /// Record a converged solution for reuse.
+    /// Record a converged solution for reuse. The first converged
+    /// solution stored is the one kept.
     pub fn store_solution(&self, solution: &Predicate, iterations: usize) {
         self.solved.store(&IterativeOutcome::Converged {
             solution: solution.clone(),
@@ -391,6 +401,31 @@ mod tests {
                          init\n  ~x\nassign\n  set: x := 1 if ~x\n";
     const SRC_B: &str = "program b\ndeclare\n  y : boolean\nprocesses\n  Q = {y}\n\
                          init\n  ~y\nassign\n  set: y := 1 if ~y\n";
+
+    #[test]
+    fn a_stored_outcome_is_replaced_only_by_one_that_decides_more() {
+        let solved: Solved<u8> = Solved(Mutex::new(None));
+        let capped = |iterations| IterativeOutcome::Inconclusive { iterations };
+        solved.store(&capped(3));
+        solved.store(&capped(2));
+        assert!(solved.get(3).is_some() && solved.get(4).is_none());
+        solved.store(&capped(5));
+        assert!(solved.get(5).is_some());
+        let converged = IterativeOutcome::Converged {
+            solution: 1,
+            iterations: 7,
+        };
+        solved.store(&converged);
+        // A capped outcome finishing late, or a second converged one, does
+        // not replace the first decided outcome.
+        solved.store(&capped(4));
+        solved.store(&IterativeOutcome::Converged {
+            solution: 2,
+            iterations: 7,
+        });
+        assert_eq!(solved.get(100), Some(converged));
+        assert_eq!(solved.get(6), Some(capped(6)));
+    }
 
     #[test]
     fn hit_returns_the_same_arc_and_counts() {
