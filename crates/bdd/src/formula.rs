@@ -295,5 +295,64 @@ mod tests {
             ctx.eval(&f),
             Err(BddError::Eval(EvalError::Type(_)))
         ));
+
+        // Boolean parameters, binders and knowledge atoms (knowledge
+        // attached, `P` seeing only `b`): the explicit engine, the symbolic
+        // engine and `holds_at` give the same answer or the same error.
+        let views = vec![("P".to_owned(), VarSet::from_vars([space.var("b").unwrap()]))];
+        let explicit_k = kpt_core::KnowledgeContext::new(
+            &space,
+            views.clone(),
+            kpt_state::Predicate::tt(&space),
+        )
+        .unwrap();
+        let kfn = explicit_k.knowledge_fn();
+        let symbolic_k = SymbolicKnowledge::with_si(&bdd, views, &SymbolicPredicate::tt(&bdd));
+        let type_error = |v: i64| {
+            Err(EvalError::Type(format!(
+                "parameter `k` used as boolean but has value {v}"
+            )))
+        };
+        let unknown = |name: &str| Err(EvalError::UnknownIdentifier(name.into()));
+        let ok = Ok(());
+        for (k, src, want) in [
+            (0, "k", ok.clone()),
+            (1, "k", ok.clone()),
+            (0, "~k /\\ b", ok.clone()),
+            (1, "k => i = 1", ok.clone()),
+            (2, "k", type_error(2)),
+            (2, "~k \\/ b", type_error(2)),
+            (0, "K{P}(b) /\\ i = 0", ok.clone()),
+            (0, "forall ghost :: b", unknown("ghost")),
+            (0, "exists ghost :: K{P}(b)", unknown("ghost")),
+            (
+                0,
+                "K{Nobody}(b)",
+                Err(EvalError::UnknownProcess("Nobody".into())),
+            ),
+        ] {
+            let f = parse_formula(src).unwrap();
+            let explicit = kpt_logic::EvalContext::new(&space)
+                .with_param("k", k)
+                .with_knowledge(&*kfn);
+            let symbolic = SymbolicEvalContext::new(&bdd)
+                .with_param("k", k)
+                .with_knowledge(&symbolic_k);
+            let (e, s) = (explicit.eval(&f), symbolic.eval(&f));
+            match (&e, &s, &want) {
+                (Ok(e), Ok(s), Ok(())) => assert_eq!(&s.to_explicit(), e, "k = {k}: `{src}`"),
+                (Err(e), Err(BddError::Eval(s)), Err(w)) => {
+                    assert_eq!((e, s), (w, w), "k = {k}: `{src}`");
+                }
+                _ => panic!("k = {k}: `{src}`: explicit {e:?}, symbolic {s:?}, want {want:?}"),
+            }
+            for st in 0..space.num_states() {
+                let at = explicit.holds_at(&f, st);
+                match &e {
+                    Ok(p) => assert_eq!(at, Ok(p.holds(st)), "k = {k}: `{src}` at {st}"),
+                    Err(err) => assert_eq!(at.as_ref(), Err(err), "k = {k}: `{src}` at {st}"),
+                }
+            }
+        }
     }
 }
