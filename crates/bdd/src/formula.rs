@@ -1,18 +1,12 @@
-//! Symbolic evaluation of `kpt_logic::Formula` — the same semantics as
-//! `kpt_logic::EvalContext` (parameters, domain-bounded quantifiers,
-//! knowledge atoms), producing BDD roots instead of bitsets.
-//!
-//! Comparisons are the only atoms that need value arithmetic. Their sides
-//! resolve through `kpt_logic::Term`, as in the explicit evaluator, and
-//! are translated by walking the points of the two sides' *support* (the
-//! product of the mentioned variables' domains, never the whole state
-//! space) and OR-ing the cube of every point where the comparison holds.
+//! Symbolic evaluation of `kpt_logic::Formula`: the BDD engine of
+//! `kpt_logic::walk`, which resolves names and types the formula for this
+//! engine and the explicit one alike. Only the set operations live here.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use kpt_logic::{CmpOp, EvalError, Expr, Formula, Term};
-use kpt_state::{Domain, VarId, VarSet};
+use kpt_logic::{walk, CmpOp, Engine, Formula, Term};
+use kpt_state::{VarId, VarSet};
 
 use crate::error::BddError;
 use crate::knowledge::SymbolicKnowledge;
@@ -49,9 +43,8 @@ impl<'a> SymbolicEvalContext<'a> {
     /// Bind every parameter in `params`.
     #[must_use]
     pub fn with_params(mut self, params: &HashMap<String, i64>) -> Self {
-        for (k, v) in params {
-            self.params.insert(k.clone(), *v);
-        }
+        self.params
+            .extend(params.iter().map(|(k, v)| (k.clone(), *v)));
         self
     }
 
@@ -83,100 +76,52 @@ impl<'a> SymbolicEvalContext<'a> {
         Ok(self.eval(f)?.everywhere())
     }
 
+    /// Evaluate under the manager lock the caller already holds: the BDD
+    /// engine of `kpt_logic::walk`, on raw roots.
     pub(crate) fn eval_raw(&self, mgr: &mut Manager, f: &Formula) -> Result<NodeId, BddError> {
-        let space = self.space;
-        let st_space = space.space();
-        match f {
-            Formula::Const(b) => Ok(if *b { space.domain_ok_cur() } else { FALSE }),
-            Formula::BoolVar(name) => {
-                if let Some(&v) = self.params.get(name) {
-                    return match v {
-                        0 => Ok(FALSE),
-                        1 => Ok(space.domain_ok_cur()),
-                        _ => Err(EvalError::Type(format!(
-                            "parameter `{name}` used as boolean but has value {v}"
-                        ))
-                        .into()),
-                    };
-                }
-                let var = st_space
-                    .var(name)
-                    .map_err(|_| EvalError::UnknownIdentifier(name.clone()))?;
-                match st_space.domain(var) {
-                    Domain::Bool => Ok(space.var_fn_raw(mgr, var, |x| x != 0)),
-                    d => Err(EvalError::Type(format!(
-                        "variable `{name}` of domain {d} used as boolean atom"
-                    ))
-                    .into()),
-                }
-            }
-            Formula::Cmp(op, lhs, rhs) => self.eval_cmp(mgr, *op, lhs, rhs),
-            Formula::Not(g) => {
-                let inner = self.eval_raw(mgr, g)?;
-                let n = mgr.not(inner);
-                Ok(mgr.and(n, space.domain_ok_cur()))
-            }
-            Formula::And(a, b) => {
-                let l = self.eval_raw(mgr, a)?;
-                let r = self.eval_raw(mgr, b)?;
-                Ok(mgr.and(l, r))
-            }
-            Formula::Or(a, b) => {
-                let l = self.eval_raw(mgr, a)?;
-                let r = self.eval_raw(mgr, b)?;
-                Ok(mgr.or(l, r))
-            }
-            Formula::Implies(a, b) => {
-                let l = self.eval_raw(mgr, a)?;
-                let r = self.eval_raw(mgr, b)?;
-                let imp = mgr.implies(l, r);
-                Ok(mgr.and(imp, space.domain_ok_cur()))
-            }
-            Formula::Iff(a, b) => {
-                let l = self.eval_raw(mgr, a)?;
-                let r = self.eval_raw(mgr, b)?;
-                let eq = mgr.iff(l, r);
-                Ok(mgr.and(eq, space.domain_ok_cur()))
-            }
-            Formula::Forall(name, body) => {
-                let var = self.quantified_var(name)?;
-                let inner = self.eval_raw(mgr, body)?;
-                Ok(space.forall_vars_raw(mgr, inner, [var]))
-            }
-            Formula::Exists(name, body) => {
-                let var = self.quantified_var(name)?;
-                let inner = self.eval_raw(mgr, body)?;
-                Ok(space.exists_vars_raw(mgr, inner, [var]))
-            }
-            Formula::Knows(process, body) => {
-                let inner = self.eval_raw(mgr, body)?;
-                match self.knowledge {
-                    Some(k) => {
-                        let view = k.view(process)?;
-                        Ok(k.knows_view_raw(mgr, view, inner))
-                    }
-                    None => Err(EvalError::KnowledgeUnavailable.into()),
-                }
-            }
+        let mut engine = Bdds {
+            space: self.space,
+            mgr,
+            knowledge: self.knowledge,
+        };
+        walk(&mut engine, self.space.space(), &self.params, f)
+    }
+}
+
+/// The symbolic engine: state sets as raw roots of the locked manager.
+/// Every set stays inside `domain_ok`, so a complement never adds the
+/// codes past a domain's end that its bits can spell.
+struct Bdds<'c, 'm> {
+    space: &'c Arc<BddSpace>,
+    mgr: &'m mut Manager,
+    knowledge: Option<&'c SymbolicKnowledge>,
+}
+
+impl Bdds<'_, '_> {
+    fn valid(&mut self, n: NodeId) -> NodeId {
+        self.mgr.and(n, self.space.domain_ok_cur())
+    }
+}
+
+impl Engine for Bdds<'_, '_> {
+    type Value = NodeId;
+    type Error = BddError;
+
+    fn constant(&mut self, b: bool) -> NodeId {
+        if b {
+            self.space.domain_ok_cur()
+        } else {
+            FALSE
         }
     }
 
-    fn quantified_var(&self, name: &str) -> Result<VarId, BddError> {
-        self.space
-            .space()
-            .var(name)
-            .map_err(|_| EvalError::UnknownIdentifier(name.to_owned()).into())
+    fn bool_var(&mut self, var: VarId) -> NodeId {
+        self.space.var_fn_raw(self.mgr, var, |x| x != 0)
     }
 
-    fn eval_cmp(
-        &self,
-        mgr: &mut Manager,
-        op: CmpOp,
-        lhs: &Expr,
-        rhs: &Expr,
-    ) -> Result<NodeId, BddError> {
-        let st_space = self.space.space();
-        let (l, r) = Term::resolve_cmp(st_space, &self.params, lhs, rhs)?;
+    /// OR of the cube of every point of the sides' support (the product of
+    /// the variables they read, never the whole space) where `l op r`.
+    fn cmp(&mut self, op: CmpOp, l: &Term, r: &Term) -> Result<NodeId, BddError> {
         let mut support = VarSet::default();
         l.support(&mut support);
         r.support(&mut support);
@@ -185,19 +130,58 @@ impl<'a> SymbolicEvalContext<'a> {
             .check_support(&vars, || format!("comparison `{}`", op.symbol()))?;
         let mut acc = FALSE;
         self.space
-            .for_each_support_point(mgr, &vars, |mgr, point, cube| {
-                if op.apply(term_at(&l, &vars, point), term_at(&r, &vars, point)) {
+            .for_each_support_point(self.mgr, &vars, |mgr, point, cube| {
+                if op.apply(term_at(l, &vars, point), term_at(r, &vars, point)) {
                     acc = mgr.or(acc, cube);
                 }
             });
-        Ok(mgr.and(acc, self.space.domain_ok_cur()))
+        Ok(self.valid(acc))
+    }
+
+    fn not(&mut self, a: NodeId) -> NodeId {
+        let n = self.mgr.not(a);
+        self.valid(n)
+    }
+
+    fn and(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        self.mgr.and(a, b)
+    }
+
+    fn or(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        self.mgr.or(a, b)
+    }
+
+    fn implies(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        let n = self.mgr.implies(a, b);
+        self.valid(n)
+    }
+
+    fn iff(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        let n = self.mgr.iff(a, b);
+        self.valid(n)
+    }
+
+    fn forall(&mut self, var: VarId, body: NodeId) -> NodeId {
+        self.space.forall_vars_raw(self.mgr, body, [var])
+    }
+
+    fn exists(&mut self, var: VarId, body: NodeId) -> NodeId {
+        self.space.exists_vars_raw(self.mgr, body, [var])
+    }
+
+    fn knows(&mut self, process: &str, body: NodeId) -> Option<Result<NodeId, BddError>> {
+        let k = self.knowledge?;
+        Some(
+            k.view(process)
+                .map(|view| k.knows_view_raw(self.mgr, view, body)),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kpt_logic::parse_formula;
+    use kpt_logic::{parse_formula, EvalError};
     use kpt_state::StateSpace;
 
     fn setup() -> (Arc<StateSpace>, Arc<BddSpace>) {

@@ -201,13 +201,6 @@ impl BddSpace {
         self.lock().gc(&[]);
     }
 
-    /// Run a sifting pass right now, regardless of policy. Everything held
-    /// by a live predicate/relation survives; the variable order afterwards
-    /// is the best the pass found.
-    pub fn reorder_now(&self) {
-        self.lock().sift(&[]);
-    }
-
     /// `ite` memo behaviour of the shared manager. `inserts` counts
     /// lifetime insertions, so hit-rate arithmetic stays meaningful after
     /// clear-on-full or GC purges shrink `entries`.

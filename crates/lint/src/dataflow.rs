@@ -31,11 +31,11 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use kpt_logic::{CmpOp, Formula, Term};
+use kpt_logic::{resolve_binder, resolve_bool_atom, BoolAtom, CmpOp, Formula, Term};
 use kpt_state::{StateSpace, VarId};
 use kpt_unity::{Guard, Program, Statement};
 
-use crate::erase::{erase_knowledge, expr_idents, top_level_knowledge};
+use crate::erase::{erase_knowledge, top_level_knowledge};
 use crate::symbolic::{collect_formula_vars, guard_reads};
 use crate::{Diagnostic, DiagnosticCode};
 
@@ -85,6 +85,14 @@ enum Tri {
 }
 
 impl Tri {
+    fn of(b: bool) -> Tri {
+        if b {
+            Tri::True
+        } else {
+            Tri::False
+        }
+    }
+
     fn not(self) -> Tri {
         match self {
             Tri::True => Tri::False,
@@ -126,22 +134,18 @@ impl IntervalEnv<'_> {
                 return (*val, *val);
             }
         }
-        self.boxes[var_index(self.space, v)]
+        self.boxes[v.index()]
     }
 
     /// Whether the explicit state lies inside the box (pins ignored —
     /// only used for `Guard::Pred`, which has no quantifier context).
     fn contains_state(&self, state: u64) -> bool {
         self.space.vars().all(|v| {
-            let (lo, hi) = self.boxes[var_index(self.space, v)];
+            let (lo, hi) = self.boxes[v.index()];
             let val = self.space.value(state, v) as i64;
             lo <= val && val <= hi
         })
     }
-}
-
-fn var_index(_space: &StateSpace, v: VarId) -> usize {
-    v.index()
 }
 
 /// The interval a resolved term can take over the box.
@@ -202,31 +206,16 @@ fn cmp_tri(op: CmpOp, a: Itv, b: Itv) -> Tri {
 /// judgement the dead-guard check acts on; `Unknown` is always sound.
 fn formula_tri(env: &mut IntervalEnv<'_>, params: &HashMap<String, i64>, f: &Formula) -> Tri {
     match f {
-        Formula::Const(b) => {
-            if *b {
-                Tri::True
-            } else {
-                Tri::False
-            }
-        }
-        Formula::BoolVar(name) => {
-            if let Some(&c) = params.get(name.as_str()) {
-                return if c != 0 { Tri::True } else { Tri::False };
-            }
-            match env.space.var(name) {
-                Ok(v) => {
-                    let (lo, hi) = env.interval(v);
-                    if hi <= 0 {
-                        Tri::False
-                    } else if lo >= 1 {
-                        Tri::True
-                    } else {
-                        Tri::Unknown
-                    }
-                }
-                Err(_) => Tri::Unknown,
-            }
-        }
+        Formula::Const(b) => Tri::of(*b),
+        Formula::BoolVar(name) => match resolve_bool_atom(env.space, params, name) {
+            Ok(BoolAtom::Const(b)) => Tri::of(b),
+            Ok(BoolAtom::Var(v)) => match env.interval(v) {
+                (_, hi) if hi <= 0 => Tri::False,
+                (lo, _) if lo >= 1 => Tri::True,
+                _ => Tri::Unknown,
+            },
+            Err(_) => Tri::Unknown,
+        },
         Formula::Cmp(op, a, b) => match Term::resolve_cmp(env.space, params, a, b) {
             Ok((ta, tb)) => cmp_tri(*op, term_interval(env, &ta), term_interval(env, &tb)),
             Err(_) => Tri::Unknown,
@@ -246,7 +235,7 @@ fn formula_tri(env: &mut IntervalEnv<'_>, params: &HashMap<String, i64>, f: &For
             }
         }
         Formula::Forall(name, body) | Formula::Exists(name, body) => {
-            let Ok(v) = env.space.var(name) else {
+            let Ok(v) = resolve_binder(env.space, name) else {
                 return Tri::Unknown;
             };
             let size = env.space.domain(v).size();
@@ -311,7 +300,7 @@ fn narrow_by_guard(env: &mut IntervalEnv<'_>, stmt: &Statement) {
             for s in p.iter().filter(|&s| env.contains_state(s)) {
                 for v in env.space.vars() {
                     let val = env.space.value(s, v) as i64;
-                    let i = var_index(env.space, v);
+                    let i = v.index();
                     refined[i] = Some(match refined[i] {
                         None => (val, val),
                         Some(b) => union(b, (val, val)),
@@ -340,20 +329,17 @@ fn narrow_formula(env: &mut IntervalEnv<'_>, params: &HashMap<String, i64>, f: &
             narrow_formula(env, params, a);
             narrow_formula(env, params, b);
         }
-        Formula::BoolVar(name) if !params.contains_key(name.as_str()) => {
-            if let Ok(v) = env.space.var(name) {
-                let i = var_index(env.space, v);
-                env.boxes[i].0 = env.boxes[i].0.max(1);
+        Formula::BoolVar(name) => {
+            if let Ok(BoolAtom::Var(v)) = resolve_bool_atom(env.space, params, name) {
+                let lo = &mut env.boxes[v.index()].0;
+                *lo = (*lo).max(1);
             }
         }
         Formula::Not(g) => {
             if let Formula::BoolVar(name) = &**g {
-                if params.contains_key(name.as_str()) {
-                    return;
-                }
-                if let Ok(v) = env.space.var(name) {
-                    let i = var_index(env.space, v);
-                    env.boxes[i].1 = env.boxes[i].1.min(0);
+                if let Ok(BoolAtom::Var(v)) = resolve_bool_atom(env.space, params, name) {
+                    let hi = &mut env.boxes[v.index()].1;
+                    *hi = (*hi).min(0);
                 }
             }
         }
@@ -373,7 +359,7 @@ fn narrow_formula(env: &mut IntervalEnv<'_>, params: &HashMap<String, i64>, f: &
 fn narrow_cmp(env: &mut IntervalEnv<'_>, op: CmpOp, x: &Term, e: &Term) {
     let Term::Var(v) = *x else { return };
     let (el, eh) = term_interval(env, e);
-    let i = var_index(env.space, v);
+    let i = v.index();
     let (lo, hi) = env.boxes[i];
     let refined = match op {
         CmpOp::Eq => (lo.max(el), hi.min(eh)),
@@ -459,7 +445,7 @@ fn check_intervals(program: &Program, diags: &mut Vec<Diagnostic>) {
                 .iter()
                 .filter_map(|(target, rhs)| {
                     let var = space.var(target).ok()?;
-                    let i = var_index(space, var);
+                    let i = var.index();
                     let written = Term::resolve_assign(space, stmt.params(), rhs, var)
                         .map_or(full[i], |t| term_interval(&env, &t));
                     // Whatever the runtime does with an out-of-domain
@@ -499,7 +485,7 @@ fn check_intervals(program: &Program, diags: &mut Vec<Diagnostic>) {
             let boxes = involved
                 .iter()
                 .map(|&v| {
-                    let (lo, hi) = env.boxes[var_index(space, v)];
+                    let (lo, hi) = env.boxes[v.index()];
                     format!("`{}` ∈ [{lo}, {hi}]", space.name(v))
                 })
                 .collect::<Vec<_>>()
@@ -527,15 +513,11 @@ fn stmt_reads(space: &Arc<StateSpace>, stmt: &Statement) -> BTreeSet<VarId> {
     let mut out = guard_reads(space, stmt);
     let mut ids = BTreeSet::new();
     for (_, rhs) in stmt.assignments() {
-        expr_idents(rhs, &mut ids);
+        rhs.idents(&mut ids);
     }
-    for n in ids {
-        if !stmt.params().contains_key(&n) {
-            if let Ok(v) = space.var(&n) {
-                out.insert(v);
-            }
-        }
-    }
+    let params = stmt.params();
+    let vars = ids.iter().filter(|n| !params.contains_key(*n));
+    out.extend(vars.filter_map(|n| space.var(n).ok()));
     out
 }
 
@@ -825,6 +807,32 @@ mod tests {
         assert_eq!(cmp_tri(CmpOp::Lt, (0, 1), (2, 3)), Tri::True);
         assert_eq!(cmp_tri(CmpOp::Ge, (0, 1), (2, 3)), Tri::False);
         assert_eq!(cmp_tri(CmpOp::Ne, (0, 3), (2, 3)), Tri::Unknown);
+    }
+
+    #[test]
+    fn boolean_atoms_follow_the_evaluators_typing() {
+        let space = StateSpace::builder()
+            .bool_var("b")
+            .unwrap()
+            .nat_var("i", 4)
+            .unwrap()
+            .build()
+            .unwrap();
+        let mut env = IntervalEnv {
+            space: &space,
+            boxes: vec![(0, 0); 2],
+            pinned: Vec::new(),
+        };
+        let params = HashMap::from([("one".to_owned(), 1), ("two".to_owned(), 2)]);
+        let tri = |env: &mut IntervalEnv<'_>, src: &str| {
+            formula_tri(env, &params, &kpt_logic::parse_formula(src).unwrap())
+        };
+        assert_eq!(tri(&mut env, "b"), Tri::False);
+        assert_eq!(tri(&mut env, "one"), Tri::True);
+        // Atoms the evaluator rejects as ill-typed prove nothing.
+        assert_eq!(tri(&mut env, "i"), Tri::Unknown);
+        assert_eq!(tri(&mut env, "two"), Tri::Unknown);
+        assert_eq!(tri(&mut env, "ghost"), Tri::Unknown);
     }
 
     #[test]

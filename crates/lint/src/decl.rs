@@ -3,7 +3,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use kpt_logic::{EvalError, Formula, Term};
+use kpt_logic::{resolve_binder, resolve_bool_atom, EvalError, Formula, Term};
 use kpt_state::{witness_state, Predicate, StateSpace};
 use kpt_unity::{Guard, Program, Statement};
 
@@ -141,44 +141,25 @@ fn check_formula(
     anchor: Anchor,
     diags: &mut Vec<Diagnostic>,
 ) {
-    match f {
-        Formula::Const(_) => {}
-        Formula::BoolVar(name) => {
-            if !params.contains_key(name) && space.var(name).is_err() {
-                report_unknown(diags, stmt, name, context, anchor);
-            }
+    // Type errors are the evaluator's to report; KPT001 is names.
+    let unknown = match f {
+        Formula::BoolVar(name) => resolve_bool_atom(space, params, name).err(),
+        Formula::Cmp(_, lhs, rhs) => Term::resolve_cmp(space, params, lhs, rhs).err(),
+        _ => None,
+    };
+    if let Some(EvalError::UnknownIdentifier(name)) = unknown {
+        report_unknown(diags, stmt, &name, context, anchor);
+    }
+    if let Formula::Forall(name, _) | Formula::Exists(name, _) = f {
+        if resolve_binder(space, name).is_err() {
+            let context = format!("{context} (quantifier binder)");
+            report_unknown(diags, stmt, name, &context, anchor);
         }
-        Formula::Cmp(_, lhs, rhs) => {
-            if let Err(EvalError::UnknownIdentifier(name)) =
-                Term::resolve_cmp(space, params, lhs, rhs)
-            {
-                report_unknown(diags, stmt, &name, context, anchor);
-            }
-        }
-        Formula::Not(g) => check_formula(space, params, g, stmt, context, anchor, diags),
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            check_formula(space, params, a, stmt, context, anchor, diags);
-            check_formula(space, params, b, stmt, context, anchor, diags);
-        }
-        Formula::Forall(name, body) | Formula::Exists(name, body) => {
-            // The evaluator quantifies over the named *program variable*'s
-            // domain, so the binder itself must name a variable.
-            if space.var(name).is_err() {
-                report_unknown(
-                    diags,
-                    stmt,
-                    name,
-                    &format!("{context} (quantifier binder)"),
-                    anchor,
-                );
-            }
-            check_formula(space, params, body, stmt, context, anchor, diags);
-        }
-        Formula::Knows(_, body) => {
-            // Process existence is the view pass's KPT006; the body is
-            // ordinary syntax.
-            check_formula(space, params, body, stmt, context, anchor, diags);
-        }
+    }
+    // A `K{i}` body is ordinary syntax; process existence is the view
+    // pass's KPT006.
+    for g in f.children() {
+        check_formula(space, params, g, stmt, context, anchor, diags);
     }
 }
 

@@ -5,7 +5,7 @@ use std::cell::OnceCell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use kpt_logic::{EvalContext, Expr, Formula};
+use kpt_logic::{EvalContext, Formula};
 use kpt_state::{Predicate, StateSpace};
 use kpt_unity::{Guard, Program, Statement, UnityError};
 
@@ -19,33 +19,20 @@ use kpt_unity::{Guard, Program, Statement, UnityError};
 /// `SI` contains the `SI` of every solution of the KBP.
 pub fn erase_knowledge(f: &Formula, positive: bool) -> Formula {
     match f {
-        Formula::Const(_) | Formula::BoolVar(_) | Formula::Cmp(..) => f.clone(),
         Formula::Not(g) => erase_knowledge(g, !positive).not(),
-        Formula::And(a, b) => erase_knowledge(a, positive).and(erase_knowledge(b, positive)),
-        Formula::Or(a, b) => erase_knowledge(a, positive).or(erase_knowledge(b, positive)),
         Formula::Implies(a, b) => {
             erase_knowledge(a, !positive).implies(erase_knowledge(b, positive))
         }
         // Both sides of an equivalence occur at both polarities; expand to
         // the two implications so each copy gets the right treatment.
-        Formula::Iff(a, b) => {
-            if f.mentions_knowledge() {
-                let fwd = Formula::Implies(a.clone(), b.clone());
-                let bwd = Formula::Implies(b.clone(), a.clone());
-                erase_knowledge(&fwd, positive).and(erase_knowledge(&bwd, positive))
-            } else {
-                f.clone()
-            }
+        Formula::Iff(a, b) if f.mentions_knowledge() => {
+            let fwd = Formula::Implies(a.clone(), b.clone());
+            let bwd = Formula::Implies(b.clone(), a.clone());
+            erase_knowledge(&fwd, positive).and(erase_knowledge(&bwd, positive))
         }
-        Formula::Forall(v, body) => Formula::forall(v.clone(), erase_knowledge(body, positive)),
-        Formula::Exists(v, body) => Formula::exists(v.clone(), erase_knowledge(body, positive)),
-        Formula::Knows(_, body) => {
-            if positive {
-                erase_knowledge(body, true)
-            } else {
-                Formula::ff()
-            }
-        }
+        Formula::Knows(_, body) if positive => erase_knowledge(body, true),
+        Formula::Knows(..) => Formula::ff(),
+        _ => f.map_children(|g| erase_knowledge(g, positive)),
     }
 }
 
@@ -137,20 +124,10 @@ pub fn erased_program(program: &Program) -> Result<Program, UnityError> {
 
 /// The process names of every knowledge atom in `f`, including nested ones.
 pub fn all_knowledge_agents(f: &Formula, out: &mut BTreeSet<String>) {
-    match f {
-        Formula::Const(_) | Formula::BoolVar(_) | Formula::Cmp(..) => {}
-        Formula::Not(g) | Formula::Forall(_, g) | Formula::Exists(_, g) => {
-            all_knowledge_agents(g, out);
-        }
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            all_knowledge_agents(a, out);
-            all_knowledge_agents(b, out);
-        }
-        Formula::Knows(p, body) => {
-            out.insert(p.clone());
-            all_knowledge_agents(body, out);
-        }
+    if let Formula::Knows(p, _) = f {
+        out.insert(p.clone());
     }
+    f.children().for_each(|g| all_knowledge_agents(g, out));
 }
 
 /// The *top-level* knowledge subterms of `f`: `(process, body)` pairs not
@@ -159,15 +136,8 @@ pub fn all_knowledge_agents(f: &Formula, out: &mut BTreeSet<String>) {
 /// analyses; nested modalities belong to the outer agent's reasoning.
 pub fn top_level_knowledge(f: &Formula, out: &mut Vec<(String, Formula)>) {
     match f {
-        Formula::Const(_) | Formula::BoolVar(_) | Formula::Cmp(..) => {}
-        Formula::Not(g) | Formula::Forall(_, g) | Formula::Exists(_, g) => {
-            top_level_knowledge(g, out);
-        }
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            top_level_knowledge(a, out);
-            top_level_knowledge(b, out);
-        }
         Formula::Knows(p, body) => out.push((p.clone(), (**body).clone())),
+        _ => f.children().for_each(|g| top_level_knowledge(g, out)),
     }
 }
 
@@ -175,36 +145,15 @@ pub fn top_level_knowledge(f: &Formula, out: &mut Vec<(String, Formula)>) {
 /// objective part a guard tests directly).
 pub fn objective_idents(f: &Formula, out: &mut BTreeSet<String>) {
     match f {
-        Formula::Const(_) => {}
         Formula::BoolVar(n) => {
             out.insert(n.clone());
         }
         Formula::Cmp(_, a, b) => {
-            expr_idents(a, out);
-            expr_idents(b, out);
-        }
-        Formula::Not(g) | Formula::Forall(_, g) | Formula::Exists(_, g) => {
-            objective_idents(g, out);
-        }
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            objective_idents(a, out);
-            objective_idents(b, out);
+            a.idents(out);
+            b.idents(out);
         }
         Formula::Knows(..) => {}
-    }
-}
-
-/// Collect the identifiers of an expression.
-pub fn expr_idents(e: &Expr, out: &mut BTreeSet<String>) {
-    match e {
-        Expr::Const(_) => {}
-        Expr::Ident(n) => {
-            out.insert(n.clone());
-        }
-        Expr::Add(a, b) | Expr::Sub(a, b) => {
-            expr_idents(a, out);
-            expr_idents(b, out);
-        }
+        _ => f.children().for_each(|g| objective_idents(g, out)),
     }
 }
 

@@ -590,19 +590,7 @@ impl fmt::Display for LintReport {
 /// Append a JSON string literal (with escaping) to `out`.
 fn json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    kpt_obs::json_escape_into(s, out);
     out.push('"');
 }
 

@@ -244,29 +244,16 @@ pub(crate) fn collect_formula_vars(
     out: &mut BTreeSet<VarId>,
 ) {
     match f {
-        Formula::Const(_) => {}
-        Formula::BoolVar(n) => {
-            if let Ok(v) = space.var(n) {
-                out.insert(v);
-            }
-        }
+        Formula::BoolVar(n) => out.extend(space.var(n)),
         Formula::Cmp(_, a, b) => {
             let mut ids = BTreeSet::new();
-            crate::erase::expr_idents(a, &mut ids);
-            crate::erase::expr_idents(b, &mut ids);
-            for n in ids {
-                if let Ok(v) = space.var(&n) {
-                    out.insert(v);
-                }
-            }
+            a.idents(&mut ids);
+            b.idents(&mut ids);
+            out.extend(ids.iter().filter_map(|n| space.var(n).ok()));
         }
-        Formula::Not(g) | Formula::Forall(_, g) | Formula::Exists(_, g) | Formula::Knows(_, g) => {
-            collect_formula_vars(space, g, out);
-        }
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            collect_formula_vars(space, a, out);
-            collect_formula_vars(space, b, out);
-        }
+        _ => f
+            .children()
+            .for_each(|g| collect_formula_vars(space, g, out)),
     }
 }
 

@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 
 use kpt_unity::{Guard, Program};
 
-use crate::erase::{all_knowledge_agents, expr_idents, objective_idents, top_level_knowledge};
+use crate::erase::{all_knowledge_agents, objective_idents, top_level_knowledge};
 use crate::{Diagnostic, DiagnosticCode};
 
 /// Run the view-soundness checks.
@@ -54,7 +54,7 @@ pub fn check(program: &Program, diags: &mut Vec<Diagnostic>) {
         let mut read_names = BTreeSet::new();
         objective_idents(f, &mut read_names);
         for (_, rhs) in stmt.assignments() {
-            expr_idents(rhs, &mut read_names);
+            rhs.idents(&mut read_names);
         }
         // Resolve to space variables; parameters and enum labels are not
         // state the process observes.

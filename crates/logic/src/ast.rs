@@ -46,8 +46,9 @@ impl Expr {
         Expr::Sub(Box::new(self), Box::new(other))
     }
 
-    /// Collect free identifiers into `out`.
-    fn idents(&self, out: &mut BTreeSet<String>) {
+    /// Collect the expression's identifiers (variables, labels and
+    /// parameters alike) into `out`.
+    pub fn idents(&self, out: &mut BTreeSet<String>) {
         match self {
             Expr::Const(_) => {}
             Expr::Ident(n) => {
@@ -282,7 +283,6 @@ impl Formula {
 
     fn collect_idents(&self, out: &mut BTreeSet<String>) {
         match self {
-            Formula::Const(_) => {}
             Formula::BoolVar(n) => {
                 out.insert(n.clone());
             }
@@ -290,21 +290,30 @@ impl Formula {
                 a.idents(out);
                 b.idents(out);
             }
-            Formula::Not(f) | Formula::Knows(_, f) => f.collect_idents(out),
-            Formula::And(a, b)
-            | Formula::Or(a, b)
-            | Formula::Implies(a, b)
-            | Formula::Iff(a, b) => {
-                a.collect_idents(out);
-                b.collect_idents(out);
-            }
             Formula::Forall(v, f) | Formula::Exists(v, f) => {
                 let mut inner = BTreeSet::new();
                 f.collect_idents(&mut inner);
                 inner.remove(v);
                 out.extend(inner);
             }
+            _ => self.children().for_each(|g| g.collect_idents(out)),
         }
+    }
+
+    /// The immediate subformulas, left to right.
+    pub fn children(&self) -> impl Iterator<Item = &Formula> {
+        let (a, b) = match self {
+            Formula::Const(_) | Formula::BoolVar(_) | Formula::Cmp(..) => (None, None),
+            Formula::Not(g)
+            | Formula::Forall(_, g)
+            | Formula::Exists(_, g)
+            | Formula::Knows(_, g) => (Some(&**g), None),
+            Formula::And(a, b)
+            | Formula::Or(a, b)
+            | Formula::Implies(a, b)
+            | Formula::Iff(a, b) => (Some(&**a), Some(&**b)),
+        };
+        a.into_iter().chain(b)
     }
 
     /// Substitute the integer constant `value` for free occurrences of the
@@ -314,52 +323,36 @@ impl Formula {
     #[must_use]
     pub fn subst_const(&self, name: &str, value: i64) -> Formula {
         match self {
-            Formula::Const(_) => self.clone(),
-            Formula::BoolVar(_) => self.clone(),
             Formula::Cmp(op, a, b) => {
                 Formula::Cmp(*op, a.subst_const(name, value), b.subst_const(name, value))
             }
-            Formula::Not(f) => Formula::Not(Box::new(f.subst_const(name, value))),
-            Formula::And(a, b) => Formula::And(
-                Box::new(a.subst_const(name, value)),
-                Box::new(b.subst_const(name, value)),
-            ),
-            Formula::Or(a, b) => Formula::Or(
-                Box::new(a.subst_const(name, value)),
-                Box::new(b.subst_const(name, value)),
-            ),
-            Formula::Implies(a, b) => Formula::Implies(
-                Box::new(a.subst_const(name, value)),
-                Box::new(b.subst_const(name, value)),
-            ),
-            Formula::Iff(a, b) => Formula::Iff(
-                Box::new(a.subst_const(name, value)),
-                Box::new(b.subst_const(name, value)),
-            ),
-            Formula::Forall(v, f) if v != name => {
-                Formula::Forall(v.clone(), Box::new(f.subst_const(name, value)))
-            }
-            Formula::Exists(v, f) if v != name => {
-                Formula::Exists(v.clone(), Box::new(f.subst_const(name, value)))
-            }
-            Formula::Forall(_, _) | Formula::Exists(_, _) => self.clone(),
-            Formula::Knows(p, f) => Formula::Knows(p.clone(), Box::new(f.subst_const(name, value))),
+            // A binder of `name` shadows it.
+            Formula::Forall(v, _) | Formula::Exists(v, _) if v == name => self.clone(),
+            _ => self.map_children(|g| g.subst_const(name, value)),
+        }
+    }
+
+    /// `self` with each immediate subformula `g` replaced by `f(g)`; atoms
+    /// are cloned.
+    #[must_use]
+    pub fn map_children(&self, mut f: impl FnMut(&Formula) -> Formula) -> Formula {
+        let mut sub = |g: &Formula| Box::new(f(g));
+        match self {
+            Formula::Const(_) | Formula::BoolVar(_) | Formula::Cmp(..) => self.clone(),
+            Formula::Not(g) => Formula::Not(sub(g)),
+            Formula::And(a, b) => Formula::And(sub(a), sub(b)),
+            Formula::Or(a, b) => Formula::Or(sub(a), sub(b)),
+            Formula::Implies(a, b) => Formula::Implies(sub(a), sub(b)),
+            Formula::Iff(a, b) => Formula::Iff(sub(a), sub(b)),
+            Formula::Forall(v, g) => Formula::Forall(v.clone(), sub(g)),
+            Formula::Exists(v, g) => Formula::Exists(v.clone(), sub(g)),
+            Formula::Knows(p, g) => Formula::Knows(p.clone(), sub(g)),
         }
     }
 
     /// Whether the formula contains any knowledge modality.
     pub fn mentions_knowledge(&self) -> bool {
-        match self {
-            Formula::Const(_) | Formula::BoolVar(_) | Formula::Cmp(..) => false,
-            Formula::Knows(..) => true,
-            Formula::Not(f) | Formula::Forall(_, f) | Formula::Exists(_, f) => {
-                f.mentions_knowledge()
-            }
-            Formula::And(a, b)
-            | Formula::Or(a, b)
-            | Formula::Implies(a, b)
-            | Formula::Iff(a, b) => a.mentions_knowledge() || b.mentions_knowledge(),
-        }
+        matches!(self, Formula::Knows(..)) || self.children().any(Formula::mentions_knowledge)
     }
 
     /// Structural simplification: constant folding, identity/absorbing

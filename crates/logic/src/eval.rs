@@ -10,11 +10,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use kpt_state::{exists_var, forall_var, Domain, Predicate, StateSpace, VarId};
+use kpt_state::{exists_var, forall_var, Predicate, StateSpace, VarId};
 
-use crate::ast::{CmpOp, Expr, Formula};
+use crate::ast::{CmpOp, Formula};
 use crate::error::EvalError;
 use crate::term::Term;
+use crate::walk::{resolve_binder, resolve_bool_atom, walk, BoolAtom, Engine};
 
 /// The signature of a pluggable knowledge semantics: given a process name
 /// and the semantic predicate of the body, produce the semantic predicate of
@@ -71,7 +72,8 @@ impl<'a> EvalContext<'a> {
         self.space
     }
 
-    /// Evaluate a formula to the exact set of states where it holds.
+    /// Evaluate a formula to the exact set of states where it holds: the
+    /// bitset engine of [`walk`](crate::walk).
     ///
     /// # Errors
     /// [`EvalError::UnknownIdentifier`] for unresolvable names,
@@ -79,59 +81,7 @@ impl<'a> EvalContext<'a> {
     /// [`EvalError::KnowledgeUnavailable`] if a `K{i}` atom appears without
     /// an attached knowledge semantics.
     pub fn eval(&self, f: &Formula) -> Result<Predicate, EvalError> {
-        // Counts every AST node evaluated (the function recurses), so the
-        // metric tracks formula complexity, not call sites.
-        kpt_obs::counter!("logic.eval.nodes").incr();
-        match f {
-            Formula::Const(true) => Ok(Predicate::tt(self.space)),
-            Formula::Const(false) => Ok(Predicate::ff(self.space)),
-            Formula::BoolVar(name) => {
-                if let Some(&v) = self.params.get(name) {
-                    return if v == 0 || v == 1 {
-                        Ok(if v == 1 {
-                            Predicate::tt(self.space)
-                        } else {
-                            Predicate::ff(self.space)
-                        })
-                    } else {
-                        Err(EvalError::Type(format!(
-                            "parameter `{name}` used as boolean but has value {v}"
-                        )))
-                    };
-                }
-                let var = self
-                    .space
-                    .var(name)
-                    .map_err(|_| EvalError::UnknownIdentifier(name.clone()))?;
-                match self.space.domain(var) {
-                    Domain::Bool => Ok(Predicate::var_is_true(self.space, var)),
-                    d => Err(EvalError::Type(format!(
-                        "variable `{name}` of domain {d} used as boolean atom"
-                    ))),
-                }
-            }
-            Formula::Cmp(op, lhs, rhs) => self.eval_cmp(*op, lhs, rhs),
-            Formula::Not(g) => Ok(self.eval(g)?.negate()),
-            Formula::And(a, b) => Ok(self.eval(a)?.and(&self.eval(b)?)),
-            Formula::Or(a, b) => Ok(self.eval(a)?.or(&self.eval(b)?)),
-            Formula::Implies(a, b) => Ok(self.eval(a)?.implies(&self.eval(b)?)),
-            Formula::Iff(a, b) => Ok(self.eval(a)?.iff(&self.eval(b)?)),
-            Formula::Forall(name, body) => {
-                let var = self.quantified_var(name)?;
-                Ok(forall_var(&self.eval(body)?, var))
-            }
-            Formula::Exists(name, body) => {
-                let var = self.quantified_var(name)?;
-                Ok(exists_var(&self.eval(body)?, var))
-            }
-            Formula::Knows(process, body) => {
-                let inner = self.eval(body)?;
-                match self.knowledge {
-                    Some(k) => k(process, &inner),
-                    None => Err(EvalError::KnowledgeUnavailable),
-                }
-            }
-        }
+        walk(&mut Bitsets(self), self.space, &self.params, f)
     }
 
     /// Evaluate a formula and test whether it holds everywhere (`[φ]`).
@@ -146,6 +96,8 @@ impl<'a> EvalContext<'a> {
     /// `O(states)`, so run monitors can check formulas along executions
     /// cheaply. Knowledge atoms still require the full predicate (their
     /// semantics quantifies over the space) and fall back to [`Self::eval`].
+    /// Connectives short-circuit, so an ill-typed operand they skip is not
+    /// reported.
     ///
     /// # Errors
     /// As for [`EvalContext::eval`].
@@ -157,25 +109,10 @@ impl<'a> EvalContext<'a> {
         match f {
             Formula::Const(b) => Ok(*b),
             Formula::BoolVar(name) => {
-                if let Some(&v) = self.params.get(name) {
-                    return match v {
-                        0 => Ok(false),
-                        1 => Ok(true),
-                        _ => Err(EvalError::Type(format!(
-                            "parameter `{name}` used as boolean but has value {v}"
-                        ))),
-                    };
-                }
-                let var = self
-                    .space
-                    .var(name)
-                    .map_err(|_| EvalError::UnknownIdentifier(name.clone()))?;
-                match self.space.domain(var) {
-                    Domain::Bool => Ok(self.space.value_bool(state, var)),
-                    d => Err(EvalError::Type(format!(
-                        "variable `{name}` of domain {d} used as boolean atom"
-                    ))),
-                }
+                Ok(match resolve_bool_atom(self.space, &self.params, name)? {
+                    BoolAtom::Const(b) => b,
+                    BoolAtom::Var(var) => self.space.value_bool(state, var),
+                })
             }
             Formula::Cmp(op, lhs, rhs) => {
                 let (l, r) = Term::resolve_cmp(self.space, &self.params, lhs, rhs)?;
@@ -189,40 +126,78 @@ impl<'a> EvalContext<'a> {
             Formula::Or(a, b) => Ok(self.holds_at(a, state)? || self.holds_at(b, state)?),
             Formula::Implies(a, b) => Ok(!self.holds_at(a, state)? || self.holds_at(b, state)?),
             Formula::Iff(a, b) => Ok(self.holds_at(a, state)? == self.holds_at(b, state)?),
-            Formula::Forall(name, body) => {
-                let var = self.quantified_var(name)?;
+            Formula::Forall(name, body) | Formula::Exists(name, body) => {
+                // ∃ stops at the first witness, ∀ at the first counterexample.
+                let var = resolve_binder(self.space, name)?;
+                let stop_at = matches!(f, Formula::Exists(..));
                 for v in 0..self.space.domain(var).size() {
-                    if !self.holds_at(body, self.space.with_value(state, var, v))? {
-                        return Ok(false);
+                    if self.holds_at(body, self.space.with_value(state, var, v))? == stop_at {
+                        return Ok(stop_at);
                     }
                 }
-                Ok(true)
-            }
-            Formula::Exists(name, body) => {
-                let var = self.quantified_var(name)?;
-                for v in 0..self.space.domain(var).size() {
-                    if self.holds_at(body, self.space.with_value(state, var, v))? {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
+                Ok(!stop_at)
             }
             Formula::Knows(..) => Ok(self.eval(f)?.holds(state)),
         }
     }
+}
 
-    fn quantified_var(&self, name: &str) -> Result<VarId, EvalError> {
-        self.space
-            .var(name)
-            .map_err(|_| EvalError::UnknownIdentifier(name.to_owned()))
+/// The explicit engine: state sets as bitsets over the context's space.
+struct Bitsets<'c, 'a>(&'c EvalContext<'a>);
+
+impl Engine for Bitsets<'_, '_> {
+    type Value = Predicate;
+    type Error = EvalError;
+
+    fn constant(&mut self, b: bool) -> Predicate {
+        if b {
+            Predicate::tt(self.0.space)
+        } else {
+            Predicate::ff(self.0.space)
+        }
     }
 
-    fn eval_cmp(&self, op: CmpOp, lhs: &Expr, rhs: &Expr) -> Result<Predicate, EvalError> {
-        let (l, r) = Term::resolve_cmp(self.space, &self.params, lhs, rhs)?;
-        let space = self.space;
+    fn bool_var(&mut self, var: VarId) -> Predicate {
+        Predicate::var_is_true(self.0.space, var)
+    }
+
+    fn cmp(&mut self, op: CmpOp, l: &Term, r: &Term) -> Result<Predicate, EvalError> {
+        let space = self.0.space;
         Ok(Predicate::from_fn(space, |idx| {
             op.apply(l.eval_state(space, idx), r.eval_state(space, idx))
         }))
+    }
+
+    fn not(&mut self, a: Predicate) -> Predicate {
+        a.negate()
+    }
+
+    fn and(&mut self, a: Predicate, b: Predicate) -> Predicate {
+        a.and(&b)
+    }
+
+    fn or(&mut self, a: Predicate, b: Predicate) -> Predicate {
+        a.or(&b)
+    }
+
+    fn implies(&mut self, a: Predicate, b: Predicate) -> Predicate {
+        a.implies(&b)
+    }
+
+    fn iff(&mut self, a: Predicate, b: Predicate) -> Predicate {
+        a.iff(&b)
+    }
+
+    fn forall(&mut self, var: VarId, body: Predicate) -> Predicate {
+        forall_var(&body, var)
+    }
+
+    fn exists(&mut self, var: VarId, body: Predicate) -> Predicate {
+        exists_var(&body, var)
+    }
+
+    fn knows(&mut self, process: &str, body: Predicate) -> Option<Result<Predicate, EvalError>> {
+        self.0.knowledge.map(|k| k(process, &body))
     }
 }
 

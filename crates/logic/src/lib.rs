@@ -56,6 +56,7 @@ mod eval;
 mod parser;
 pub mod surface;
 mod term;
+mod walk;
 
 pub use ast::{CmpOp, Expr, Formula};
 pub use error::{render_span, EvalError, ParseError};
@@ -65,3 +66,4 @@ pub use surface::{
     parse_program_ast, DeclAst, DomainAst, ProcessAst, ProgramAst, Span, StatementAst,
 };
 pub use term::Term;
+pub use walk::{resolve_binder, resolve_bool_atom, walk, BoolAtom, Engine};

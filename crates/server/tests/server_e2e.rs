@@ -4,8 +4,9 @@
 //! buffers; shutdown drains everything already accepted.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 use kpt_obs::JsonValue;
 use kpt_server::{Server, ServerConfig, SessionConfig};
@@ -16,6 +17,10 @@ use kpt_server::{Server, ServerConfig, SessionConfig};
 const TOY: &str = "program toy\ndeclare\n  req : boolean\n  done : boolean\nprocesses\n  \
                    C = {req}\n  S = {req, done}\ninit\n  ~req /\\ ~done\nassign\n  \
                    request: req := 1 if ~req\n  [] serve: done := 1 if req /\\ ~done\n";
+
+/// How long the test client waits for one frame before failing, so a
+/// frame the server never answers fails the test instead of hanging it.
+const RECV_TIMEOUT: Duration = Duration::from_secs(60);
 
 struct Client {
     writer: TcpStream,
@@ -28,6 +33,9 @@ struct Client {
 impl Client {
     fn connect(server: &Server) -> Client {
         let stream = TcpStream::connect(server.local_addr()).expect("connects");
+        stream
+            .set_read_timeout(Some(RECV_TIMEOUT))
+            .expect("sets read timeout");
         Client {
             writer: stream.try_clone().expect("clones"),
             reader: BufReader::new(stream),
@@ -41,16 +49,22 @@ impl Client {
             .expect("request writes");
     }
 
-    /// Read one frame; panics on EOF.
+    /// Read one frame; panics on EOF or when none arrives within
+    /// [`RECV_TIMEOUT`].
     fn recv(&mut self) -> JsonValue {
         self.try_recv().expect("unexpected EOF from server")
     }
 
+    /// Read one frame, or `None` at EOF; panics when none arrives within
+    /// [`RECV_TIMEOUT`].
     fn try_recv(&mut self) -> Option<JsonValue> {
         let mut line = String::new();
         match self.reader.read_line(&mut line) {
             Ok(0) => None,
             Ok(_) => Some(kpt_obs::parse_json(line.trim_end()).expect("server frame is JSON")),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                panic!("no frame within {RECV_TIMEOUT:?}")
+            }
             Err(_) => None,
         }
     }

@@ -257,16 +257,6 @@ impl TaskPool {
         Ok(())
     }
 
-    /// Jobs waiting in the injector right now.
-    pub fn queue_depth(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .expect("task pool poisoned")
-            .queue
-            .len()
-    }
-
     /// Jobs currently executing on a worker.
     pub fn active(&self) -> usize {
         self.shared.state.lock().expect("task pool poisoned").active

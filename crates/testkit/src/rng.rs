@@ -72,12 +72,6 @@ impl Rng {
         result
     }
 
-    /// Next value as `u32`.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `0..bound` (`bound > 0`), via Lemire rejection.
     ///
     /// # Panics
