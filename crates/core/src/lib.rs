@@ -71,6 +71,7 @@ pub use muddy::{
 pub use runs_equiv::{semantics_agree, view_knowledge, Disagreement};
 pub use wcyl::{wcyl, WcylTransformer};
 pub use zoo::{
-    attacking_generals_kpt, cache_coherence_kpt, dining_cryptographers_kpt, load_kpt,
-    muddy_children_kpt, russian_cards_kpt, zoo, ZooEntry,
+    attacking_generals_kpt, bdd_escape_kpt, cache_coherence_kpt, dining_cryptographers_kpt,
+    figure1_kpt, figure2_kpt, load_kpt, muddy_children_file_kpt, muddy_children_kpt,
+    muddy_children_memory_kpt, russian_cards_kpt, zoo, ZooEntry,
 };

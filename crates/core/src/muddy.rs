@@ -51,7 +51,7 @@ fn view_of(i: usize, n: usize, said_vars: &[String]) -> Vec<String> {
 }
 
 fn build(n: usize, with_memory: bool) -> Result<Kbp, UnityError> {
-    assert!((2..=4).contains(&n), "n out of the supported range 2..=4");
+    assert!((2..=6).contains(&n), "n out of the supported range 2..=6");
     let mut b = StateSpace::builder();
     for i in 0..n {
         b = b.bool_var(&format!("mud{i}"))?;

@@ -52,6 +52,56 @@ pub fn russian_cards_kpt() -> &'static str {
     include_str!("../models/russian_cards.kpt")
 }
 
+/// The paper's Figure 1, the knowledge-based protocol with no eq. (25)
+/// solution: `ŜP` is not monotone, so the fixpoint need not exist, and
+/// here it does not (experiment E4).
+pub fn figure1_kpt() -> &'static str {
+    include_str!("../models/figure1.kpt")
+}
+
+/// The paper's Figure 2 under its weak init `¬y`; [`figure2`] loads it
+/// under any other init.
+pub fn figure2_kpt() -> &'static str {
+    include_str!("../models/figure2.kpt")
+}
+
+/// The 159-free-state escape-hatch KBP: too large for the exhaustive
+/// solver's 64-bit subset mask, routine for the symbolic engine.
+pub fn bdd_escape_kpt() -> &'static str {
+    include_str!("../models/bdd_escape.kpt")
+}
+
+/// The n-child muddy-children KBP (2 ≤ n ≤ 6): children announce when
+/// they know their own status, the round advances on public silence (see
+/// the model's header comment).
+///
+/// # Panics
+/// Panics if `n` is outside `2..=6`.
+pub fn muddy_children_file_kpt(n: usize) -> &'static str {
+    match n {
+        2 => include_str!("../models/muddy_children_2.kpt"),
+        3 => include_str!("../models/muddy_children_3.kpt"),
+        4 => include_str!("../models/muddy_children_4.kpt"),
+        5 => include_str!("../models/muddy_children_5.kpt"),
+        6 => include_str!("../models/muddy_children_6.kpt"),
+        _ => panic!("n out of the supported range 2..=6"),
+    }
+}
+
+/// Muddy children with history variables (2 ≤ n ≤ 3): `said_i` records
+/// the round of the announcement, so knowledge, once attained, persists
+/// (the paper's §3 history-variable remark; see the model's header).
+///
+/// # Panics
+/// Panics if `n` is outside `2..=3`.
+pub fn muddy_children_memory_kpt(n: usize) -> &'static str {
+    match n {
+        2 => include_str!("../models/muddy_children_memory_2.kpt"),
+        3 => include_str!("../models/muddy_children_memory_3.kpt"),
+        _ => panic!("n out of the supported range 2..=3"),
+    }
+}
+
 /// The textual n-child muddy-children KBP (2 ≤ n ≤ 6): the same program
 /// [`crate::muddy_children_n`] builds in Rust, written in the surface
 /// syntax — children announce when they know their own status, the round
