@@ -2,14 +2,14 @@
 //! Figure 1 (no solution) and Figure 2 (non-monotone), plus exhaustive
 //! enumeration scaling with the number of free states.
 
-use kpt_core::{figure1, figure2, Kbp};
+use kpt_core::{figure1_kpt, figure2, load_kpt, Kbp};
 use kpt_state::StateSpace;
 use kpt_testkit::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kpt_unity::{Program, Statement};
 
 fn bench_figures(c: &mut Criterion) {
     let mut group = c.benchmark_group("kbp_solver");
-    let fig1 = figure1().unwrap();
+    let (_, fig1) = load_kpt(figure1_kpt()).unwrap();
     group.bench_function("fig1_exhaustive_no_solution", |b| {
         b.iter(|| {
             let sols = fig1.solve_exhaustive(16).unwrap();

@@ -23,7 +23,7 @@ use kpt_seqtrans::{ModelOptions, StandardModel, SymbolicStandard};
 use kpt_state::{Predicate, StateSpace};
 use kpt_testkit::Criterion;
 use kpt_transformers::sst_frontier_with_stats;
-use kpt_unity::{Program, Statement};
+use kpt_unity::Program;
 
 fn space_with_vars(nvars: usize, dom: u64) -> Arc<StateSpace> {
     let mut b = StateSpace::builder();
@@ -115,42 +115,17 @@ fn seqtrans_cases(c: &mut Criterion, fast: bool) -> Vec<(String, u64, usize, f64
     rows
 }
 
-/// The 159-free-state escape-hatch KBP (the `escape159` registry model).
-fn escape_program() -> Program {
-    let space = StateSpace::builder()
-        .nat_var("i", 80)
-        .unwrap()
-        .bool_var("done")
-        .unwrap()
-        .build()
-        .unwrap();
-    Program::builder("bdd-escape", &space)
-        .init_str("i = 0 && !done")
-        .unwrap()
-        .process("P", ["i"])
-        .unwrap()
-        .statement(
-            Statement::new("inc")
-                .guard_str("i < 79")
-                .unwrap()
-                .assign_str("i", "i + 1")
-                .unwrap(),
-        )
-        .statement(
-            Statement::new("finish")
-                .guard_str("K{P}(i >= 40)")
-                .unwrap()
-                .assign_str("done", "1")
-                .unwrap(),
-        )
-        .build()
-        .unwrap()
+/// A shipped `.kpt` model's program.
+fn shipped(src: &str) -> Program {
+    kpt_unity::parse_program(src)
+        .expect("shipped model elaborates")
+        .1
 }
 
 /// A KBP with 159 free states: `solve_exhaustive` rejects it (the subset
 /// mask is 64 bits wide), the symbolic iteration converges.
 fn escape_hatch_case(c: &mut Criterion) {
-    let program = escape_program();
+    let program = shipped(kpt_core::bdd_escape_kpt());
 
     // The explicit exhaustive solver cannot touch this instance.
     let explicit = Kbp::new(program.clone());
@@ -246,21 +221,9 @@ fn partition_cases(c: &mut Criterion) -> Vec<(String, usize, usize, f64, f64)> {
     let mut group = c.benchmark_group("bdd_partition");
     group.sample_size(10);
     let models: Vec<(&str, Program)> = vec![
-        (
-            "muddy3",
-            kpt_core::muddy_children_n(3)
-                .expect("muddy3 builds")
-                .program()
-                .clone(),
-        ),
-        (
-            "muddy4",
-            kpt_core::muddy_children_n(4)
-                .expect("muddy4 builds")
-                .program()
-                .clone(),
-        ),
-        ("escape159", escape_program()),
+        ("muddy3", shipped(kpt_core::muddy_children_kpt(3))),
+        ("muddy4", shipped(kpt_core::muddy_children_kpt(4))),
+        ("escape159", shipped(kpt_core::bdd_escape_kpt())),
     ];
     // One pass: translate, optionally materialize monolithic relations,
     // run the reachability closure and a wp sweep over every statement.

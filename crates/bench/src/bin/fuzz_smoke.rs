@@ -24,10 +24,7 @@ use kpt_unity::{parse_program, Program};
 const MAX_ITERS: usize = 32;
 
 const CORPUS: &[(&str, &str)] = &[
-    (
-        "figure1",
-        include_str!("../../../../tests/corpus/figure1.kpt"),
-    ),
+    ("figure1", include_str!("../../../core/models/figure1.kpt")),
     (
         "enum_labels",
         include_str!("../../../../tests/corpus/enum_labels.kpt"),

@@ -13,61 +13,30 @@ use std::time::Instant;
 
 use kpt_lint::{lint_program, lint_program_with, Depth, LintOptions};
 use kpt_seqtrans::{figure3_kbp, ModelOptions, StandardModel};
-use kpt_state::StateSpace;
 use kpt_testkit::Criterion;
-use kpt_unity::{Program, Statement};
+use kpt_unity::Program;
 
-/// The 159-free-state instance from `bdd_summary`: exhaustive solving is
-/// impossible, but the linter's symbolic pass handles it routinely.
-fn escape_hatch_program() -> Program {
-    let space = StateSpace::builder()
-        .nat_var("i", 80)
-        .unwrap()
-        .bool_var("done")
-        .unwrap()
-        .build()
-        .unwrap();
-    Program::builder("bdd-escape", &space)
-        .init_str("i = 0 && !done")
-        .unwrap()
-        .process("P", ["i"])
-        .unwrap()
-        .statement(
-            Statement::new("inc")
-                .guard_str("i < 79")
-                .unwrap()
-                .assign_str("i", "i + 1")
-                .unwrap(),
-        )
-        .statement(
-            Statement::new("finish")
-                .guard_str("K{P}(i >= 40)")
-                .unwrap()
-                .assign_str("done", "1")
-                .unwrap(),
-        )
-        .build()
-        .unwrap()
+/// A shipped `.kpt` model's program.
+fn shipped(src: &str) -> Program {
+    kpt_unity::parse_program(src)
+        .expect("shipped model elaborates")
+        .1
 }
 
 fn models() -> Vec<(&'static str, Program)> {
     let model = StandardModel::build(2, 2, ModelOptions::default()).unwrap();
     vec![
-        ("figure1", kpt_core::figure1().unwrap().program().clone()),
-        (
-            "figure2",
-            kpt_core::figure2("~y").unwrap().program().clone(),
-        ),
-        (
-            "muddy2",
-            kpt_core::muddy_children_n(2).unwrap().program().clone(),
-        ),
+        ("figure1", shipped(kpt_core::figure1_kpt())),
+        ("figure2", shipped(kpt_core::figure2_kpt())),
+        ("muddy2", shipped(kpt_core::muddy_children_kpt(2))),
         ("seqtrans_std", model.program().clone()),
         (
             "seqtrans_fig3",
             figure3_kbp(&model).unwrap().program().clone(),
         ),
-        ("escape159", escape_hatch_program()),
+        // The 159-free-state instance: exhaustive solving is impossible,
+        // but the linter's symbolic pass handles it routinely.
+        ("escape159", shipped(kpt_core::bdd_escape_kpt())),
     ]
 }
 

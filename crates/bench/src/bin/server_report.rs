@@ -342,10 +342,10 @@ fn main() {
     // Cheap models for the steady-state phases; the full rotation (with
     // the heavyweight zoo members) only feeds the eviction phase, where
     // re-elaboration is the point.
-    let cheap: Vec<String> = vec![TOY.to_owned(), kpt_core::muddy_children_kpt(2)];
+    let cheap: Vec<String> = vec![TOY.to_owned(), kpt_core::muddy_children_kpt(2).to_owned()];
     let rotation: Vec<String> = vec![
         TOY.to_owned(),
-        kpt_core::muddy_children_kpt(2),
+        kpt_core::muddy_children_kpt(2).to_owned(),
         kpt_core::attacking_generals_kpt().to_owned(),
         kpt_core::dining_cryptographers_kpt().to_owned(),
     ];

@@ -1,6 +1,6 @@
 //! Scenario-zoo report: wall-time of the textual frontend (parse +
 //! elaborate) and of eq. (25) solving over every zoo scenario, with the
-//! muddy-children template instantiated at n = 3..6, plus one explicit
+//! muddy-children models at n = 3..6, plus one explicit
 //! `Kbp::compile_at(init)` of russian cards. Writes
 //! `BENCH_zoo.json` plus a per-scenario one-shot table on stdout.
 //!
@@ -16,10 +16,10 @@ use kpt_testkit::Criterion;
 
 const MAX_ITERS: usize = 64;
 
-/// Every benched scenario: the fixed zoo members plus the muddy-children
-/// template at n = 3..6.
-fn scenarios() -> Vec<(String, String)> {
-    let mut cases: Vec<(String, String)> = zoo()
+/// Every benched scenario: the fixed zoo members plus muddy children at
+/// n = 3..6.
+fn scenarios() -> Vec<(String, &'static str)> {
+    let mut cases: Vec<(String, &'static str)> = zoo()
         .expect("zoo sources parse")
         .into_iter()
         .filter(|e| !e.name.contains("muddy"))
@@ -63,10 +63,10 @@ fn main() {
     let mut c = Criterion::with_config(config);
 
     let cases = scenarios();
-    let loaded: Vec<(String, String, Kbp)> = cases
+    let loaded: Vec<(String, &str, Kbp)> = cases
         .into_iter()
         .map(|(label, src)| {
-            let (_, kbp) = load_kpt(&src).expect("zoo scenario loads");
+            let (_, kbp) = load_kpt(src).expect("zoo scenario loads");
             (label, src, kbp)
         })
         .collect();

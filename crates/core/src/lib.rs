@@ -14,9 +14,12 @@
 //!   equation (25), a complete exhaustive solver
 //!   ([`Kbp::solve_exhaustive`]) and a scalable iterative solver
 //!   ([`Kbp::solve_iterative`]);
-//! * [`figure1`]/[`figure2`] — the paper's counterexamples: a KBP with *no*
-//!   solution, and a KBP whose solution (and hence safety/liveness
-//!   properties) is *not monotonic* in the initial condition;
+//! * the shipped models as `.kpt` files under `models/`, one source each,
+//!   reached through accessors such as [`figure1_kpt`] and loaded with
+//!   [`load_kpt`]: the paper's counterexamples (Figure 1, a KBP with *no*
+//!   solution; Figure 2, whose solution and hence safety/liveness
+//!   properties are *not monotonic* in the initial condition, see
+//!   [`figure2`]), muddy children, and the scenario [`zoo`];
 //! * [`view_knowledge`]/[`semantics_agree`] — the run-based semantics of
 //!   \[HM90\] and its equivalence with eq. (13) on reachable states.
 //!
@@ -52,26 +55,20 @@
 
 mod context;
 mod error;
-mod examples;
 mod kbp;
 mod knowledge;
-mod muddy;
 mod runs_equiv;
 mod wcyl;
 mod zoo;
 
 pub use context::KnowledgeContext;
 pub use error::CoreError;
-pub use examples::{figure1, figure2, figure2_space};
 pub use kbp::{IterativeOutcome, Kbp, SolutionSet};
 pub use knowledge::KnowsTransformer;
-pub use muddy::{
-    muddy_children, muddy_children_n, muddy_children_with_memory, muddy_children_with_memory_n,
-};
 pub use runs_equiv::{semantics_agree, view_knowledge, Disagreement};
 pub use wcyl::{wcyl, WcylTransformer};
 pub use zoo::{
     attacking_generals_kpt, bdd_escape_kpt, cache_coherence_kpt, dining_cryptographers_kpt,
-    figure1_kpt, figure2_kpt, load_kpt, muddy_children_file_kpt, muddy_children_kpt,
-    muddy_children_memory_kpt, russian_cards_kpt, zoo, ZooEntry,
+    figure1_kpt, figure2, figure2_kpt, load_kpt, muddy_children_kpt, muddy_children_memory_kpt,
+    russian_cards_kpt, zoo, ZooEntry,
 };

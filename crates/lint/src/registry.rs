@@ -2,7 +2,7 @@
 //!
 //! Every model the repository ships — the paper figures, the muddy
 //! children, the kpt-seqtrans models, the BDD-scale escape hatch, and the
-//! textual scenario zoo — together with the exact diagnostic codes the
+//! scenario zoo — together with the exact diagnostic codes the
 //! linter is expected to produce for it. The `kpt_lint` CLI turns these
 //! expectations into its exit code and CI asserts them.
 //!
@@ -22,10 +22,10 @@ pub struct RegistryCase {
     pub name: &'static str,
     /// The elaborated program.
     pub program: Program,
-    /// The textual `.kpt` source, for models that have one (the zoo) —
-    /// these are linted through [`lint_source`], so their diagnostics
-    /// carry byte spans.
-    pub source: Option<String>,
+    /// The textual `.kpt` source, for models shipped as files — these
+    /// are linted through [`lint_source`], so their diagnostics carry
+    /// byte spans.
+    pub source: Option<&'static str>,
     /// The exact diagnostic codes this model is expected to produce at
     /// full depth, sorted.
     pub expected: &'static [&'static str],
@@ -39,51 +39,25 @@ pub fn registry() -> Vec<RegistryCase> {
         // must flag its knowledge circularity — both the symbolic KPT009
         // analysis and the syntactic KPT011 dependency cycle — and
         // nothing else.
-        RegistryCase {
-            name: "figure1",
-            program: kpt_core::figure1()
-                .expect("figure1 builds")
-                .program()
-                .clone(),
-            source: None,
-            expected: &["KPT009", "KPT011"],
-        },
-        RegistryCase {
-            name: "figure2-weak",
-            program: kpt_core::figure2("~y")
-                .expect("figure2 builds")
-                .program()
-                .clone(),
-            source: None,
-            expected: &[],
-        },
+        file_case("figure1", kpt_core::figure1_kpt(), &["KPT009", "KPT011"]),
+        file_case("figure2-weak", kpt_core::figure2_kpt(), &[]),
+        // Figure 2 under the stronger init: no file spells this init, so
+        // the case lints the elaborated program.
         RegistryCase {
             name: "figure2-strong",
             program: kpt_core::figure2("~y /\\ x")
-                .expect("figure2 builds")
+                .expect("figure2 loads")
                 .program()
                 .clone(),
             source: None,
             expected: &[],
         },
-        RegistryCase {
-            name: "muddy-children-2",
-            program: kpt_core::muddy_children_n(2)
-                .expect("muddy children builds")
-                .program()
-                .clone(),
-            source: None,
-            expected: &[],
-        },
-        RegistryCase {
-            name: "muddy-children-2-memory",
-            program: kpt_core::muddy_children_with_memory_n(2)
-                .expect("muddy children builds")
-                .program()
-                .clone(),
-            source: None,
-            expected: &[],
-        },
+        file_case("muddy-children-2", kpt_core::muddy_children_kpt(2), &[]),
+        file_case(
+            "muddy-children-2-memory",
+            kpt_core::muddy_children_memory_kpt(2),
+            &[],
+        ),
         RegistryCase {
             name: "seqtrans-fig3-2x2",
             program: figure3_kbp(&model)
@@ -99,16 +73,12 @@ pub fn registry() -> Vec<RegistryCase> {
             source: None,
             expected: &[],
         },
-        RegistryCase {
-            name: "bdd-escape",
-            program: escape_hatch_program(),
-            source: None,
-            expected: &[],
-        },
+        // The 159-free-state escape hatch: too large for the exhaustive
+        // solver's subset mask, routine for the linter's symbolic pass.
+        file_case("bdd-escape", kpt_core::bdd_escape_kpt(), &[]),
     ];
-    // The scenario zoo: textual `.kpt` models, each with its lint verdict
-    // baked in next to the source (see `kpt_core::zoo`). Their sources
-    // ride along so registry lints produce spanned diagnostics.
+    // The scenario zoo, with each lint verdict baked in next to the
+    // source (see `kpt_core::zoo`).
     for e in kpt_core::zoo().expect("zoo sources parse") {
         cases.push(RegistryCase {
             name: e.name,
@@ -120,40 +90,19 @@ pub fn registry() -> Vec<RegistryCase> {
     cases
 }
 
-/// The 159-free-state instance from the symbolic-backend report: too large
-/// for the exhaustive solver's subset mask, routine for the BDD engine —
-/// and for the linter, whose symbolic pass runs on exactly this scale.
-fn escape_hatch_program() -> Program {
-    use kpt_state::StateSpace;
-    use kpt_unity::Statement;
-    let space = StateSpace::builder()
-        .nat_var("i", 80)
-        .unwrap()
-        .bool_var("done")
-        .unwrap()
-        .build()
-        .unwrap();
-    Program::builder("bdd-escape", &space)
-        .init_str("i = 0 && !done")
-        .unwrap()
-        .process("P", ["i"])
-        .unwrap()
-        .statement(
-            Statement::new("inc")
-                .guard_str("i < 79")
-                .unwrap()
-                .assign_str("i", "i + 1")
-                .unwrap(),
-        )
-        .statement(
-            Statement::new("finish")
-                .guard_str("K{P}(i >= 40)")
-                .unwrap()
-                .assign_str("done", "1")
-                .unwrap(),
-        )
-        .build()
-        .unwrap()
+/// A case backed by a shipped `.kpt` model file.
+fn file_case(
+    name: &'static str,
+    source: &'static str,
+    expected: &'static [&'static str],
+) -> RegistryCase {
+    let (_, program) = kpt_unity::parse_program(source).expect("shipped models elaborate");
+    RegistryCase {
+        name,
+        program,
+        source: Some(source),
+        expected,
+    }
 }
 
 /// Lint every case over the kpt-testkit pool (width from `KPT_THREADS`,

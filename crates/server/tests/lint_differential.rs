@@ -143,14 +143,14 @@ fn repeated_lint_is_an_arena_hit_without_progress_frames() {
     let source = kpt_core::muddy_children_kpt(3);
     let hits = kpt_obs::counter("server.sessions.hits");
 
-    let (first, progress) = c.lint(1, &source, true);
+    let (first, progress) = c.lint(1, source, true);
     assert!(
         !progress.is_empty(),
         "the first symbolic lint computes an SI and streams its rounds"
     );
     let (arena_hits, counted) = (server.sessions().hits(), hits.get());
 
-    let (second, progress) = c.lint(2, &source, true);
+    let (second, progress) = c.lint(2, source, true);
     assert!(progress.is_empty(), "a cached lint streams no progress");
     assert_eq!(server.sessions().hits(), arena_hits + 1);
     assert!(hits.get() > counted, "server.sessions.hits rises");

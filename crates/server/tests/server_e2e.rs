@@ -147,6 +147,17 @@ fn req(body: &str) -> String {
     body.replace('\'', "\"")
 }
 
+/// A request frame whose last field is `source`: `head` is in [`req`]'s
+/// apostrophe shorthand, and the escaped source goes in after the quote
+/// swap, because model comments have apostrophes.
+fn with_source(head: &str, source: &str) -> String {
+    format!(
+        "{}{}\"}}",
+        req(&format!("{{{head}'source':'")),
+        json_str(source)
+    )
+}
+
 fn json_str(s: &str) -> String {
     let mut out = String::new();
     kpt_obs::json_escape_into(s, &mut out);
@@ -307,7 +318,7 @@ fn progress_streams_and_solve_matches_direct_library_calls() {
     let mut c = Client::connect(&server);
     let muddy = kpt_core::muddy_children_kpt(2);
 
-    let (_, kbp) = kpt_core::load_kpt(&muddy).expect("parses");
+    let (_, kbp) = kpt_core::load_kpt(muddy).expect("parses");
     let direct = kbp.solve_iterative(64).expect("solves");
     let (want_states, want_iters) = match &direct {
         kpt_core::IterativeOutcome::Converged {
@@ -318,10 +329,7 @@ fn progress_streams_and_solve_matches_direct_library_calls() {
     };
     assert!(want_iters > 1, "need a multi-iteration solve for progress");
 
-    c.send(&req(&format!(
-        "{{'id':9,'type':'solve','source':'{}'}}",
-        json_str(&muddy)
-    )));
+    c.send(&with_source("'id':9,'type':'solve',", muddy));
     let (f, progress) = c.recv_terminal(9);
     assert_eq!(field_str(&f, "outcome"), "converged");
     assert_eq!(field_u64(&f, "iterations"), want_iters);
@@ -334,10 +342,7 @@ fn progress_streams_and_solve_matches_direct_library_calls() {
 
     // A repeat solve is served from the converged-solution cache with
     // identical numbers.
-    c.send(&req(&format!(
-        "{{'id':10,'type':'solve','source':'{}'}}",
-        json_str(&muddy)
-    )));
+    c.send(&with_source("'id':10,'type':'solve',", muddy));
     let (f, _) = c.recv_terminal(10);
     assert_eq!(field_u64(&f, "iterations"), want_iters);
     assert_eq!(field_u64(&f, "solution_states"), want_states);
@@ -353,10 +358,10 @@ fn progress_streams_and_solve_matches_direct_library_calls() {
         } => (solution.count(), iterations as u64),
         other => panic!("muddy children should converge symbolically, got {other:?}"),
     };
-    c.send(&req(&format!(
-        "{{'id':11,'type':'solve','engine':'symbolic','source':'{}'}}",
-        json_str(&muddy)
-    )));
+    c.send(&with_source(
+        "'id':11,'type':'solve','engine':'symbolic',",
+        muddy,
+    ));
     let (f, progress) = c.recv_terminal(11);
     assert_eq!(field_str(&f, "engine"), "symbolic");
     assert_eq!(field_str(&f, "outcome"), "converged");
@@ -385,21 +390,20 @@ fn outcome_of(f: &JsonValue) -> std::collections::BTreeMap<String, JsonValue> {
 fn repeat_solves_are_answered_from_the_model() {
     let mut server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("binds");
     let mut c = Client::connect(&server);
-    let toy = json_str(TOY);
-    let figure1 = json_str(include_str!("../../../tests/corpus/figure1.kpt"));
+    let figure1 = kpt_core::figure1_kpt();
     let mut id = 0;
     let mut solve = |c: &mut Client, extra: &str, source: &str| {
         id += 1;
-        // The source goes in after the quote swap: Figure 1's comment
-        // has an apostrophe.
-        let head = req(&format!("{{'id':{id},'type':'solve',{extra}'source':'"));
-        c.send(&format!("{head}{source}\"}}"));
+        c.send(&with_source(
+            &format!("'id':{id},'type':'solve',{extra}"),
+            source,
+        ));
         c.recv_terminal(id)
     };
     for (extra, source, outcome) in [
-        ("", &toy, "converged"),
-        ("'engine':'symbolic',", &toy, "converged"),
-        ("", &figure1, "cycle"),
+        ("", TOY, "converged"),
+        ("'engine':'symbolic',", TOY, "converged"),
+        ("", figure1, "cycle"),
     ] {
         let (first, progress) = solve(&mut c, extra, source);
         assert_eq!(field_str(&first, "outcome"), outcome, "got {first:?}");
@@ -418,7 +422,7 @@ fn repeat_solves_are_answered_from_the_model() {
     }
     // Figure 1 cycles from its first steps; a cap below the step that
     // found the cycle runs out, and the stored cycle says so too.
-    let (f, progress) = solve(&mut c, "'max_iterations':1,", &figure1);
+    let (f, progress) = solve(&mut c, "'max_iterations':1,", figure1);
     assert_eq!(field_str(&f, "outcome"), "inconclusive", "got {f:?}");
     assert_eq!(field_u64(&f, "iterations"), 1);
     assert_eq!(f.get("cached").and_then(JsonValue::as_bool), Some(true));

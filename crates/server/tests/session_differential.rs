@@ -14,7 +14,7 @@ const MAX_ITERATIONS: usize = 64;
 
 fn sources() -> Vec<String> {
     vec![
-        kpt_core::muddy_children_kpt(2),
+        kpt_core::muddy_children_kpt(2).to_owned(),
         kpt_core::attacking_generals_kpt().to_owned(),
         kpt_core::dining_cryptographers_kpt().to_owned(),
     ]
@@ -95,20 +95,22 @@ fn eviction_churn_never_corrupts_live_requests() {
     assert_eq!(sessions.len(), 1, "bounds hold after the churn");
 }
 
-/// Re-solving through the *same* shared `Kbp` twice is deterministic even
-/// with the SI memo warm — the memo caches by candidate predicate, so a
-/// warm hit returns the identical predicate.
+/// Re-solving through the *same* shared `Kbp` twice is deterministic: no
+/// candidate's SI is memoized, so the second solve reruns every eq. (25)
+/// iteration, reusing only the knowledge-free guards the first compile
+/// kept, and gives the identical outcome — the one an entirely fresh
+/// `Kbp` gives.
 #[test]
 fn warm_memo_is_deterministic() {
     let sessions = Sessions::new(SessionConfig::default());
     let model = sessions
-        .get_or_load(&kpt_core::muddy_children_kpt(2))
+        .get_or_load(kpt_core::muddy_children_kpt(2))
         .expect("loads");
     let first = model.kbp().solve_iterative(MAX_ITERATIONS).expect("solve");
     let second = model.kbp().solve_iterative(MAX_ITERATIONS).expect("solve");
     assert_eq!(second, first);
     // And both agree with an entirely fresh Kbp sharing nothing.
-    let (_, fresh) = kpt_core::load_kpt(&kpt_core::muddy_children_kpt(2)).expect("parses");
+    let (_, fresh) = kpt_core::load_kpt(kpt_core::muddy_children_kpt(2)).expect("parses");
     let fresh_kbp: &Kbp = &fresh;
     assert_eq!(
         fresh_kbp.solve_iterative(MAX_ITERATIONS).expect("solve"),

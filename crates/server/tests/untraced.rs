@@ -22,7 +22,7 @@ fn serving_a_solve_leaves_tracing_off() {
     let mut writer = stream.try_clone().expect("clones");
     let mut reader = BufReader::new(stream);
     let mut source = String::new();
-    kpt_obs::json_escape_into(&kpt_core::muddy_children_kpt(2), &mut source);
+    kpt_obs::json_escape_into(kpt_core::muddy_children_kpt(2), &mut source);
     writer
         .write_all(format!("{{\"id\":1,\"type\":\"solve\",\"source\":\"{source}\"}}\n").as_bytes())
         .expect("writes");

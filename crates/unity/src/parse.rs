@@ -222,20 +222,7 @@ mod tests {
     use super::*;
     use kpt_state::Predicate;
 
-    const FIGURE1: &str = r"
-program figure1
-declare
-  shared : boolean
-  x : boolean
-processes
-  P0 = {shared}
-  P1 = {shared, x}
-init
-  ~shared /\ ~x
-assign
-  grant: shared := 1 if K{P0}(~x)
-  [] take: x := 1 || shared := 0 if shared
-";
+    const FIGURE1: &str = include_str!("../../core/models/figure1.kpt");
 
     #[test]
     fn parses_figure1() {
@@ -246,21 +233,6 @@ assign
         assert!(program.is_knowledge_based());
         assert_eq!(program.processes().len(), 2);
         assert_eq!(program.init().count(), 1);
-        // And it is exactly the library's built-in Figure 1 (same solutions).
-        let parsed = kpt_core_equivalent(&program);
-        assert!(parsed);
-    }
-
-    /// The parsed Figure 1 has no eq.-(25) solution, like the built-in.
-    fn kpt_core_equivalent(program: &Program) -> bool {
-        // Local reimplementation of the solution check to avoid a circular
-        // dev-dependency on kpt-core: enumerate candidates and compile with
-        // the degenerate full-information semantics is NOT the real check,
-        // so here we only verify structural facts.
-        program
-            .statements()
-            .iter()
-            .any(|s| s.guard().mentions_knowledge())
     }
 
     #[test]

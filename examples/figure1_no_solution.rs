@@ -19,7 +19,7 @@
 use knowledge_pt::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let kbp = figure1()?;
+    let (_, kbp) = load_kpt(figure1_kpt())?;
     println!("Figure 1 knowledge-based protocol:");
     for s in kbp.program().statements() {
         println!("  {s:?}");

@@ -6,11 +6,10 @@
 //!
 //! Run with: `cargo run --example muddy_children`
 
-use knowledge_pt::core::{muddy_children, muddy_children_with_memory};
 use knowledge_pt::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let kbp = muddy_children()?;
+    let (_, kbp) = load_kpt(muddy_children_kpt(2))?;
     println!("{}", kbp.program());
 
     let solution = match kbp.solve_iterative(64)? {
@@ -76,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         forgotten.count()
     );
 
-    let mem = muddy_children_with_memory()?;
+    let (_, mem) = load_kpt(muddy_children_memory_kpt(2))?;
     let mem_solution = mem
         .solve_iterative(64)?
         .solution()

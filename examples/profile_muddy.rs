@@ -77,8 +77,8 @@ fn main() {
     println!("profiling to {PROFILE_PATH} (equivalent to KPT_PROFILE={PROFILE_PATH})\n");
 
     // -- muddy-children(6): eq. (25) under GC + sifting -------------------
-    let src = knowledge_pt::core::muddy_children_kpt(6);
-    let (_, kbp) = knowledge_pt::core::load_kpt(&src).expect("muddy6 parses");
+    let (_, kbp) = knowledge_pt::core::load_kpt(knowledge_pt::core::muddy_children_kpt(6))
+        .expect("muddy6 parses");
     let sym = SymbolicKbp::from_program_with(kbp.program(), gc_sift_config())
         .expect("symbolic translation");
     match sym.solve_iterative(64).expect("symbolic solve") {

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // -- Figure 1: the no-solution KBP, explained -------------------------
     println!("== Figure 1: exhaustive KBP search ==");
-    let fig1 = figure1()?;
+    let (_, fig1) = load_kpt(figure1_kpt())?;
     let sols = fig1.solve_exhaustive(16)?;
     let verdict = fig1.explain_solutions("figure1", &sols);
     print!("{verdict}");

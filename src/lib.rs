@@ -26,7 +26,7 @@
 //! | [`logic`] (`kpt-logic`) | the formula notation, parser, evaluator (with pluggable `K`) |
 //! | [`transformers`] (`kpt-transformers`) | `sp`/`wp`, junctivity analysis, `sst` and `SI` fixpoints |
 //! | [`unity`] (`kpt-unity`) | UNITY programs, property deciders, leads-to model checker, certificate-producing proof kernel, fair execution |
-//! | [`core`] (`kpt-core`) | `wcyl`, the knowledge operator `K_i` (+ `E_G`, `C_G`, `D_G`), knowledge-based protocols and the eq. (25) solvers, the Figure 1/2 counterexamples, run-semantics equivalence |
+//! | [`core`] (`kpt-core`) | `wcyl`, the knowledge operator `K_i` (+ `E_G`, `C_G`, `D_G`), knowledge-based protocols and the eq. (25) solvers, the shipped `.kpt` models (the Figure 1/2 counterexamples, muddy children, the scenario zoo), run-semantics equivalence |
 //! | [`bdd`] (`kpt-bdd`) | in-tree ROBDD engine: symbolic predicates, relational `sp`/`wp`, symbolic `SI` and `K_i`, and the symbolic KBP solver for instances the explicit search rejects |
 //! | [`lint`] (`kpt-lint`) | pre-solve static analyzer: declaration, view-soundness, and symbolic diagnostics (`KPT001`-`KPT009`) with paper cross-references |
 //! | [`channel`] (`kpt-channel`) | faulty channels (loss / duplication / detectable corruption) for simulation |
@@ -83,8 +83,9 @@ pub mod prelude {
     };
     pub use kpt_channel::{ChannelStats, Delivery, FaultConfig, FaultyChannel};
     pub use kpt_core::{
-        figure1, figure2, load_kpt, muddy_children_kpt, semantics_agree, view_knowledge, wcyl, zoo,
-        IterativeOutcome, Kbp, KnowledgeContext, SolutionSet, ZooEntry,
+        bdd_escape_kpt, figure1_kpt, figure2, figure2_kpt, load_kpt, muddy_children_kpt,
+        muddy_children_memory_kpt, semantics_agree, view_knowledge, wcyl, zoo, IterativeOutcome,
+        Kbp, KnowledgeContext, SolutionSet, ZooEntry,
     };
     pub use kpt_lint::{
         erased_program, lint_kbp, lint_program, lint_program_with, lint_registry, lint_source,

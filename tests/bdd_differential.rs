@@ -178,7 +178,7 @@ fn random_kbp_iteration_agrees() {
 
 #[test]
 fn figure1_agrees_across_backends() {
-    let kbp = figure1().unwrap();
+    let kbp = load_kpt(figure1_kpt()).unwrap().1;
     let sym = SymbolicKbp::from_program(kbp.program()).unwrap();
     let explicit = kbp.solve_iterative(32).unwrap();
     assert!(
@@ -503,34 +503,7 @@ fn sifting_passes_a_node_budget_the_fixed_order_exhausts() {
 
 #[test]
 fn symbolic_solver_handles_search_too_large_instances() {
-    let space = StateSpace::builder()
-        .nat_var("i", 80)
-        .unwrap()
-        .bool_var("done")
-        .unwrap()
-        .build()
-        .unwrap();
-    let program = Program::builder("escape", &space)
-        .init_str("i = 0 && !done")
-        .unwrap()
-        .process("P", ["i"])
-        .unwrap()
-        .statement(
-            Statement::new("inc")
-                .guard_str("i < 79")
-                .unwrap()
-                .assign_str("i", "i + 1")
-                .unwrap(),
-        )
-        .statement(
-            Statement::new("finish")
-                .guard_str("K{P}(i >= 40)")
-                .unwrap()
-                .assign_str("done", "1")
-                .unwrap(),
-        )
-        .build()
-        .unwrap();
+    let (_, program) = parse_program(bdd_escape_kpt()).unwrap();
 
     let explicit = Kbp::new(program.clone());
     let free = explicit.program().init().negate().count();

@@ -257,7 +257,7 @@ fn fuzz_programs_round_trip() {
 fn corpus_figure1_cycles_everywhere() {
     // The paper's no-solution KBP: all three engines must report the same
     // cycle instead of a solution.
-    let src = include_str!("corpus/figure1.kpt");
+    let src = figure1_kpt();
     let (_, program) = parse_program(src).unwrap();
     let explicit = explicit_outcome(&Kbp::new(program.clone()));
     assert!(
@@ -342,14 +342,18 @@ fn corpus_plain_counter() {
 
 #[test]
 fn zoo_scenarios_pass_the_oracle() {
-    // Every zoo scenario (including the generated muddy-children
-    // templates) is also a corpus member.
+    // Every shipped model is also a corpus member.
     for e in zoo().unwrap() {
-        oracle(&e.source);
+        oracle(e.source);
     }
     for n in 2..=4 {
-        oracle(&muddy_children_kpt(n));
+        oracle(muddy_children_kpt(n));
     }
+    for n in 2..=3 {
+        oracle(muddy_children_memory_kpt(n));
+    }
+    oracle(figure2_kpt());
+    oracle(bdd_escape_kpt());
 }
 
 #[test]

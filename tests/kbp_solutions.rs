@@ -16,7 +16,7 @@ use kpt_testkit::{check, Rng};
 
 #[test]
 fn figure1_has_no_solution_exhaustively() {
-    let kbp = figure1().unwrap();
+    let kbp = load_kpt(figure1_kpt()).unwrap().1;
     let sols = kbp.solve_exhaustive(16).unwrap();
     assert!(sols.is_empty());
     assert_eq!(sols.candidates_checked(), 8);
@@ -40,7 +40,7 @@ fn figure1_has_no_solution_exhaustively() {
 
 #[test]
 fn figure1_iteration_cycles_with_period_two() {
-    let kbp = figure1().unwrap();
+    let kbp = load_kpt(figure1_kpt()).unwrap().1;
     match kbp.solve_iterative(32).unwrap() {
         IterativeOutcome::Cycle { period, .. } => assert_eq!(period, 2),
         other => panic!("expected a cycle, got {other:?}"),
@@ -300,7 +300,7 @@ fn compile_at_matches_the_full_compile_on_every_zoo_and_registry_model() {
         assert!(compile_at_matches_full_compile(&kbp, case.name) >= 1);
     }
     // Figure 1 cycles: the walk stops at the repeated candidate.
-    assert!(compile_at_matches_full_compile(&figure1().unwrap(), "figure1") >= 2);
+    assert!(compile_at_matches_full_compile(&load_kpt(figure1_kpt()).unwrap().1, "figure1") >= 2);
 }
 
 #[test]

@@ -317,7 +317,7 @@ fn kpt009_figure1_circularity() {
     // the protocol provably has no solution; the linter flags exactly
     // this — the symbolic KPT009 and its syntactic dataflow shadow
     // KPT011, both anchored on `grant`.
-    let kbp = figure1().unwrap();
+    let kbp = load_kpt(figure1_kpt()).unwrap().1;
     let report = knowledge_pt::lint::lint_kbp(&kbp);
     assert_eq!(codes(&report), ["KPT009", "KPT011"]);
     for d in &report.diagnostics {
@@ -380,7 +380,7 @@ fn kpt010_interval_dead_guard() {
 fn kpt011_knowledge_dependency_cycle() {
     // Figure 1 again, but the cheap pass alone: the grant/take read-write
     // cycle is detected purely syntactically.
-    let kbp = figure1().unwrap();
+    let kbp = load_kpt(figure1_kpt()).unwrap().1;
     let report =
         knowledge_pt::lint::lint_program_with(kbp.program(), &LintOptions::up_to(Depth::Dataflow));
     assert_eq!(codes(&report), ["KPT011"]);
@@ -486,17 +486,11 @@ fn healthy_models_are_clean() {
     }
     programs.push((
         "muddy".into(),
-        knowledge_pt::core::muddy_children_n(2)
-            .unwrap()
-            .program()
-            .clone(),
+        parse_program(muddy_children_kpt(2)).unwrap().1,
     ));
     programs.push((
         "muddy+memory".into(),
-        knowledge_pt::core::muddy_children_with_memory_n(2)
-            .unwrap()
-            .program()
-            .clone(),
+        parse_program(muddy_children_memory_kpt(2)).unwrap().1,
     ));
     let model = StandardModel::build(2, 2, ModelOptions::default()).unwrap();
     programs.push(("seqtrans-std".into(), model.program().clone()));
@@ -517,34 +511,7 @@ fn healthy_models_are_clean() {
 fn escape_hatch_model_is_clean() {
     // The 159-free-state instance the exhaustive solver rejects: the
     // linter's symbolic pass must still handle it (and find nothing).
-    let space = StateSpace::builder()
-        .nat_var("i", 80)
-        .unwrap()
-        .bool_var("done")
-        .unwrap()
-        .build()
-        .unwrap();
-    let program = Program::builder("bdd-escape", &space)
-        .init_str("i = 0 && !done")
-        .unwrap()
-        .process("P", ["i"])
-        .unwrap()
-        .statement(
-            Statement::new("inc")
-                .guard_str("i < 79")
-                .unwrap()
-                .assign_str("i", "i + 1")
-                .unwrap(),
-        )
-        .statement(
-            Statement::new("finish")
-                .guard_str("K{P}(i >= 40)")
-                .unwrap()
-                .assign_str("done", "1")
-                .unwrap(),
-        )
-        .build()
-        .unwrap();
+    let (_, program) = parse_program(bdd_escape_kpt()).unwrap();
     let report = knowledge_pt::lint::lint_program(&program);
     assert!(report.is_clean(), "escape hatch: {report}");
     assert!(report.symbolic_ran);
@@ -554,7 +521,7 @@ fn escape_hatch_model_is_clean() {
 
 #[test]
 fn report_json_round_trips_through_the_obs_parser() {
-    let report = knowledge_pt::lint::lint_kbp(&figure1().unwrap());
+    let report = knowledge_pt::lint::lint_kbp(&load_kpt(figure1_kpt()).unwrap().1);
     let json = report.to_json();
     let value = knowledge_pt::obs::parse_json(&json).expect("valid JSON");
     assert_eq!(

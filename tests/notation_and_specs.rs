@@ -97,7 +97,7 @@ assign
 #[test]
 fn figures_from_text_equal_builtin_figures() {
     // The Figure-2 text parses to a program with the same solution
-    // structure as the built-in constructor.
+    // structure as the shipped model.
     let src = r"
 program figure2
 declare

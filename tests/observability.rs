@@ -63,7 +63,7 @@ fn traced_run_emits_valid_jsonl_covering_all_subsystems() {
 
     // lint.*: the full pipeline over Figure 1 emits per-pass spans, and
     // the dataflow pass records its SCC/widening metrics.
-    let fig1 = figure1().unwrap();
+    let fig1 = load_kpt(figure1_kpt()).unwrap().1;
     let lint_report = knowledge_pt::lint::lint_kbp(&fig1);
     assert!(lint_report.has(DiagnosticCode::KnowledgeDependencyCycle));
 
@@ -110,7 +110,7 @@ fn traced_run_emits_valid_jsonl_covering_all_subsystems() {
 
     // bdd.*: a symbolic solve produces the hierarchical span tree
     // (solver → fixpoint → sp/and_exists) plus manager gauge samples.
-    let muddy = kpt_core::muddy_children_n(3).unwrap();
+    let (_, muddy) = load_kpt(muddy_children_kpt(3)).unwrap();
     let sym = SymbolicKbp::from_program(muddy.program()).unwrap();
     assert!(matches!(
         sym.solve_iterative(16).unwrap(),
@@ -332,7 +332,7 @@ fn traced_run_emits_valid_jsonl_covering_all_subsystems() {
 fn failed_kbp_verdict_names_a_concrete_initial_state() {
     // Figure 1's no-solution outcome (§4 of the paper) must explain itself
     // with at least one decoded state, not a bare `false`.
-    let fig1 = figure1().unwrap();
+    let fig1 = load_kpt(figure1_kpt()).unwrap().1;
     let sols = fig1.solve_exhaustive(16).unwrap();
     let verdict = fig1.explain_solutions("figure1", &sols);
     assert!(!verdict.holds);
